@@ -108,7 +108,6 @@ mod tests {
                 alpha: 0.5,
                 distances: &self.distances,
                 reserved: &self.reserved,
-                threads: 1,
             }
         }
     }

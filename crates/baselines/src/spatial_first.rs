@@ -100,7 +100,6 @@ mod tests {
                 alpha: 0.5,
                 distances: &self.distances,
                 reserved: &self.reserved,
-                threads: 1,
             }
         }
     }

@@ -80,7 +80,6 @@ impl Scenario {
             alpha: 0.5,
             distances: &self.distances,
             reserved: &self.reserved,
-            threads: 1,
         }
     }
 }

@@ -12,22 +12,18 @@
 //! * `incremental`   — absorbing the same 100 answers with no rebuild at
 //!   all (the per-submit steady-state cost, for scale).
 //!
-//! * `parallel_full_tN` — the same full EM with the E-step split across
-//!   `N` scoped threads (`run_em_geometry_threads`); bit-identical
-//!   results, pure throughput.
+//! Full rebuilds run the SQUAREM-accelerated loop and dirty-set rebuilds
+//! plain EM, one sequential E-step per iteration. Alongside the timings, one `em_iterations` JSON
+//! line per log size and rebuild tier reports the iterations one rebuild
+//! takes and whether it converged before `max_iterations` — the columns
+//! that split a rebuild's cost into iterations × cost per iteration.
 //!
 //! The committed baseline lives in `BENCH_em.json` at the repo root. With
 //! `EM_BENCH_ENFORCE=1` (set by CI) the final "bench" asserts that the
-//! optimized rebuild beats the naive rebuild at the largest log size and
-//! that the parallel sweep at the `EM_THREADS` setting is no regression
-//! over the sequential one.
+//! optimized rebuild beats the naive rebuild at the largest log size.
 //!
-//! Environment knobs:
+//! Environment knob:
 //!
-//! * `EM_THREADS` — `max` resolves to the host's available parallelism,
-//!   a number pins the E-step thread count; absent means `1` (the
-//!   sequential baseline configuration). Applied to the online-model
-//!   rows (`dirty_set`, `incremental`) and the smoke gate.
 //! * `EM_SWEEP=1` — additionally runs the policy-knob sweep
 //!   (`full_sweep_every`, `dirty_coverage_fallback`) and prints one JSON
 //!   line per configuration for `BENCH_em.json`'s sweep table.
@@ -36,27 +32,12 @@ use std::hint::black_box;
 use std::time::Instant;
 
 use criterion::{criterion_group, criterion_main, BatchSize, BenchmarkId, Criterion};
-use crowd_core::model::{
-    run_em_from_naive, run_em_geometry, run_em_geometry_threads, AnswerGeometry,
-};
+use crowd_core::model::{run_em_from_naive, run_em_geometry, AnswerGeometry};
 use crowd_core::{
-    synthetic_task, Answer, AnswerLog, EmConfig, EmParallelism, LabelBits, OnlineModel, TaskId,
-    TaskSet, UpdatePolicy, WorkerId,
+    synthetic_task, Answer, AnswerLog, EmConfig, EmReport, LabelBits, OnlineModel, TaskId, TaskSet,
+    UpdatePolicy, WorkerId,
 };
 use crowd_geo::Point;
-
-/// E-step thread counts the `parallel_full` rows sweep.
-const THREAD_ROWS: [usize; 4] = [1, 2, 4, 8];
-
-/// The `EM_THREADS` environment knob: `max` → auto-resolve, a number →
-/// that many threads, absent → the sequential baseline.
-fn em_threads_from_env() -> EmParallelism {
-    match std::env::var("EM_THREADS") {
-        Ok(s) if s == "max" => EmParallelism::Auto,
-        Ok(s) => EmParallelism::Fixed(s.parse().expect("EM_THREADS must be a number or 'max'")),
-        Err(_) => EmParallelism::Fixed(1),
-    }
-}
 
 const N_TASKS: usize = 400;
 const N_WORKERS: usize = 1500;
@@ -123,7 +104,6 @@ fn prepare(size: usize) -> Prepared {
         UpdatePolicy {
             full_em_every: None,
             full_sweep_every: usize::MAX,
-            parallelism: em_threads_from_env(),
             ..UpdatePolicy::default()
         },
     )
@@ -195,29 +175,6 @@ fn bench_em(c: &mut Criterion) {
                 BatchSize::PerIteration,
             );
         });
-        for threads in THREAD_ROWS {
-            group.bench_with_input(
-                BenchmarkId::new(format!("parallel_full_t{threads}"), size),
-                p,
-                |b, p| {
-                    b.iter_batched(
-                        || p.model.params().clone(),
-                        |mut params| {
-                            black_box(run_em_geometry_threads(
-                                &p.tasks,
-                                &p.log,
-                                &p.geometry,
-                                &p.config,
-                                &mut params,
-                                threads,
-                            ));
-                            params
-                        },
-                        BatchSize::PerIteration,
-                    );
-                },
-            );
-        }
         group.bench_with_input(BenchmarkId::new("dirty_set", size), p, |b, p| {
             b.iter_batched(
                 || p.model.clone(),
@@ -246,27 +203,58 @@ fn bench_em(c: &mut Criterion) {
     group.finish();
 }
 
-/// One warm-started full sweep at `threads` E-step threads.
-fn time_parallel_rebuild(p: &Prepared, threads: usize) -> std::time::Duration {
+/// One warm-started full sweep on the geometry-cached path.
+fn time_cached_rebuild(p: &Prepared) -> std::time::Duration {
     let mut params = p.model.params().clone();
     let start = Instant::now();
-    black_box(run_em_geometry_threads(
+    black_box(run_em_geometry(
         &p.tasks,
         &p.log,
         &p.geometry,
         &p.config,
         black_box(&mut params),
-        threads,
     ));
     start.elapsed()
 }
 
+/// Prints one `em_iterations` JSON line per log size and rebuild tier:
+/// the iterations one rebuild of the prepared state takes and whether it
+/// converged. Counts are deterministic, so one run per row suffices;
+/// `naive_full` runs the same map through the same SQUAREM loop as
+/// `cached_full` and reports the same counts.
+fn bench_iterations(_c: &mut Criterion) {
+    let row = |tier: &str, size: usize, report: &EmReport| {
+        eprintln!(
+            "em_iterations {{\"tier\":\"{tier}\",\"log_size\":{size},\"iterations\":{},\
+             \"converged\":{},\"final_delta\":{:.3e}}}",
+            report.iterations,
+            report.converged,
+            report.max_delta_history.last().copied().unwrap_or(0.0)
+        );
+    };
+    for &size in &LOG_SIZES {
+        let p = prepare(size);
+        let mut params = p.model.params().clone();
+        let full = run_em_geometry(&p.tasks, &p.log, &p.geometry, &p.config, &mut params);
+        row("cached_full", size, &full);
+        let mut model = p.model.clone();
+        model.full_em(&p.tasks, &p.log);
+        let dirty = model.last_report().expect("rebuild ran");
+        row(
+            if dirty.full_sweep {
+                "full_fallback"
+            } else {
+                "dirty_set"
+            },
+            size,
+            dirty,
+        );
+    }
+}
+
 /// CI smoke gate: at the largest log size the optimized rebuild (dirty-set
 /// path, as the service runs it) must not be slower than the naive full
-/// EM, and the parallel full sweep at the `EM_THREADS` setting must not be
-/// slower than the sequential one (with ≥ 2 resolved threads on a
-/// multi-core host it must be a real speedup). Only enforced with
-/// `EM_BENCH_ENFORCE=1` so local runs never flake.
+/// EM. Only enforced with `EM_BENCH_ENFORCE=1` so local runs never flake.
 fn bench_smoke_gate(_c: &mut Criterion) {
     let p = prepare(*LOG_SIZES.last().unwrap());
     let enforce = std::env::var_os("EM_BENCH_ENFORCE").is_some();
@@ -282,34 +270,6 @@ fn bench_smoke_gate(_c: &mut Criterion) {
             optimized <= naive,
             "optimized rebuild ({optimized:?}) is slower than the naive full EM ({naive:?})"
         );
-    }
-
-    let threads = em_threads_from_env().resolve();
-    let sequential = (0..3).map(|_| time_parallel_rebuild(&p, 1)).min().unwrap();
-    let parallel = (0..3)
-        .map(|_| time_parallel_rebuild(&p, threads))
-        .min()
-        .unwrap();
-    let speedup = sequential.as_secs_f64() / parallel.as_secs_f64();
-    eprintln!(
-        "parallel gate @ {} answers: t1 {sequential:?} vs t{threads} {parallel:?} ({speedup:.2}x)",
-        p.log.len()
-    );
-    if enforce {
-        if threads == 1 {
-            // Same code path by construction; the 5% margin absorbs timer
-            // noise while still catching an accidental buffer/dispatch
-            // cost leaking into the sequential configuration.
-            assert!(
-                parallel.as_secs_f64() <= sequential.as_secs_f64() * 1.05,
-                "EM_THREADS=1 regressed the sequential sweep: {parallel:?} vs {sequential:?}"
-            );
-        } else if std::thread::available_parallelism().map_or(1, std::num::NonZero::get) >= 2 {
-            assert!(
-                speedup >= 1.5,
-                "parallel full sweep at {threads} threads is only {speedup:.2}x over sequential"
-            );
-        }
     }
 }
 
@@ -372,7 +332,6 @@ fn bench_knob_sweep(_c: &mut Criterion) {
         full_em_every: None,
         full_sweep_every: usize::MAX,
         dirty_coverage_fallback,
-        parallelism: em_threads_from_env(),
     };
     // One rebuild of the dirtied state under each coverage-fallback value.
     let mut dirty_ns = f64::INFINITY; // the engaged dirty path, for amortization
@@ -405,7 +364,7 @@ fn bench_knob_sweep(_c: &mut Criterion) {
     if full_ns.is_infinite() {
         let p = prepare_policy(4000, manual(60));
         full_ns = (0..3)
-            .map(|_| time_parallel_rebuild(&p, em_threads_from_env().resolve()))
+            .map(|_| time_cached_rebuild(&p))
             .min()
             .unwrap()
             .as_secs_f64()
@@ -423,5 +382,11 @@ fn bench_knob_sweep(_c: &mut Criterion) {
     }
 }
 
-criterion_group!(benches, bench_em, bench_smoke_gate, bench_knob_sweep);
+criterion_group!(
+    benches,
+    bench_em,
+    bench_iterations,
+    bench_smoke_gate,
+    bench_knob_sweep
+);
 criterion_main!(benches);

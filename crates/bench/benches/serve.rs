@@ -13,10 +13,7 @@
 //! applied answers per shard) to price the accuracy-recovering exchange.
 //! Committed baseline numbers live in `BENCH_serve.json` at the repo root.
 
-//! Environment knobs: `EM_THREADS` (`max` or a number) sets the E-step
-//! parallelism of every row's update policy; `SERVE_SCALING=1` adds the
-//! shard×thread scaling curve (every shard count at every E-step thread
-//! count); `EM_SWEEP=1` adds the `gossip_every` knob sweep, printed as
+//! Environment knob: `EM_SWEEP=1` adds the `gossip_every` knob sweep, printed as
 //! JSON lines for `BENCH_serve.json`'s sweep table. The elasticity
 //! rows (throughput before/during/after a live shard-map split, with a
 //! storm-free control campaign) always run and print as JSON lines for
@@ -25,26 +22,13 @@
 use std::hint::black_box;
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
-use crowd_core::{
-    synthetic_task, EmParallelism, LabelBits, TaskId, TaskSet, UpdatePolicy, Worker, WorkerId,
-    WorkerPool,
-};
+use crowd_core::{synthetic_task, LabelBits, TaskId, TaskSet, Worker, WorkerId, WorkerPool};
 use crowd_geo::Point;
 use crowd_serve::{LabellingService, RetentionPolicy, ServeConfig};
 use crowd_sim::{generate_population, BehaviorConfig, PopulationConfig, SimPlatform};
 
 const SUBMITS: usize = 2000;
 const PRODUCERS: usize = 4;
-
-/// The `EM_THREADS` environment knob: `max` → auto-resolve, a number →
-/// that many E-step threads, absent → the sequential baseline.
-fn em_threads_from_env() -> EmParallelism {
-    match std::env::var("EM_THREADS") {
-        Ok(s) if s == "max" => EmParallelism::Auto,
-        Ok(s) => EmParallelism::Fixed(s.parse().expect("EM_THREADS must be a number or 'max'")),
-        Err(_) => EmParallelism::Fixed(1),
-    }
-}
 
 fn platform() -> SimPlatform {
     let dataset = crowd_sim::beijing(41);
@@ -72,7 +56,6 @@ fn ingest(
     streams: &[Vec<(WorkerId, TaskId, LabelBits)>],
     shards: usize,
     gossip_every: Option<usize>,
-    parallelism: EmParallelism,
 ) {
     let service = LabellingService::start(
         &platform.dataset.tasks,
@@ -83,10 +66,6 @@ fn ingest(
             queue_capacity: 512,
             budget: 0, // pure ingestion: no assignment traffic
             gossip_every,
-            policy: UpdatePolicy {
-                parallelism,
-                ..UpdatePolicy::default()
-            },
             ..ServeConfig::default()
         },
     );
@@ -108,7 +87,6 @@ fn ingest(
 fn bench_serve_throughput(c: &mut Criterion) {
     let platform = platform();
     let streams = streams(&platform);
-    let parallelism = em_threads_from_env();
     let mut group = c.benchmark_group("serve_ingest_2000_submits");
     group.sample_size(10);
     for shards in [1usize, 2, 4, 8] {
@@ -117,13 +95,7 @@ fn bench_serve_throughput(c: &mut Criterion) {
             &shards,
             |b, &shards| {
                 b.iter(|| {
-                    ingest(
-                        black_box(&platform),
-                        black_box(&streams),
-                        shards,
-                        None,
-                        parallelism,
-                    );
+                    ingest(black_box(&platform), black_box(&streams), shards, None);
                 });
             },
         );
@@ -135,41 +107,9 @@ fn bench_serve_throughput(c: &mut Criterion) {
     for shards in [1usize, 2, 4, 8] {
         group.bench_with_input(BenchmarkId::new("gossip", shards), &shards, |b, &shards| {
             b.iter(|| {
-                ingest(
-                    black_box(&platform),
-                    black_box(&streams),
-                    shards,
-                    Some(100),
-                    parallelism,
-                );
+                ingest(black_box(&platform), black_box(&streams), shards, Some(100));
             });
         });
-    }
-    // The shard×thread scaling curve (SERVE_SCALING=1): every shard count
-    // crossed with every E-step thread count — shards parallelise the
-    // ingestion queues and shrink per-shard logs, threads parallelise each
-    // rebuild's E-step; the curve shows where the two compose and where
-    // they contend for cores.
-    if std::env::var_os("SERVE_SCALING").is_some() {
-        for threads in [1usize, 2, 4, 8] {
-            for shards in [1usize, 2, 4, 8] {
-                group.bench_with_input(
-                    BenchmarkId::new(format!("threads_{threads}"), shards),
-                    &shards,
-                    |b, &shards| {
-                        b.iter(|| {
-                            ingest(
-                                black_box(&platform),
-                                black_box(&streams),
-                                shards,
-                                None,
-                                EmParallelism::Fixed(threads),
-                            );
-                        });
-                    },
-                );
-            }
-        }
     }
     group.finish();
 }
@@ -268,13 +208,12 @@ fn bench_gossip_sweep(_c: &mut Criterion) {
     }
     let platform = platform();
     let streams = streams(&platform);
-    let parallelism = em_threads_from_env();
     for gossip_every in [0usize, 50, 100, 200, 400] {
         let cadence = (gossip_every > 0).then_some(gossip_every);
         let mut best = f64::INFINITY;
         for _ in 0..3 {
             let start = std::time::Instant::now();
-            ingest(&platform, &streams, 4, cadence, parallelism);
+            ingest(&platform, &streams, 4, cadence);
             best = best.min(start.elapsed().as_secs_f64());
         }
         #[allow(clippy::cast_precision_loss)]

@@ -179,11 +179,9 @@ impl TaskState {
     }
 }
 
-/// Scores one contiguous block of workers: fills `p` (accuracies) and
-/// `eligible` for `workers[ci]` at flat index `ci * nt + ti`, evaluating
-/// each pair's distance functions into that worker's memo row on first
-/// sight. Slices are per-block, so disjoint blocks can run on parallel
-/// threads; the computed values are independent of the blocking.
+/// Scores the requesting workers: fills `p` (accuracies) and `eligible`
+/// for `workers[ci]` at flat index `ci * nt + ti`, evaluating each pair's
+/// distance functions into that worker's memo row on first sight.
 fn score_workers(
     ctx: &AssignContext<'_>,
     estimator: &AccuracyEstimator<'_>,
@@ -252,9 +250,7 @@ impl Assigner for AccOptAssigner {
 
         // Candidate accuracies p(w, t) and eligibility, flat [w * nt + t].
         // Each pair's distance-function values come from the cross-round
-        // memo (computed on first sight, reused afterwards); scores are
-        // pure per pair, so worker rows can be filled on parallel threads
-        // without changing a single bit of the result.
+        // memo (computed on first sight, reused afterwards).
         let mut p = vec![0.0f64; nw * nt];
         let mut eligible = vec![true; nw * nt];
         self.memo.begin_round(nt, ctx.fset);
@@ -262,36 +258,7 @@ impl Assigner for AccOptAssigner {
             .iter()
             .map(|w| self.memo.take_row(w.index()))
             .collect();
-        let threads = ctx.threads.clamp(1, nw);
-        if threads <= 1 {
-            score_workers(ctx, &estimator, workers, &mut taken, &mut p, &mut eligible);
-        } else {
-            crossbeam::thread::scope(|s| {
-                let mut p_rest: &mut [f64] = &mut p;
-                let mut e_rest: &mut [bool] = &mut eligible;
-                let mut t_rest: &mut [MemoRow] = &mut taken;
-                for c in 0..threads {
-                    let lo = c * nw / threads;
-                    let hi = (c + 1) * nw / threads;
-                    if lo == hi {
-                        continue;
-                    }
-                    let span = hi - lo;
-                    let (p_chunk, p_tail) = std::mem::take(&mut p_rest).split_at_mut(span * nt);
-                    let (e_chunk, e_tail) = std::mem::take(&mut e_rest).split_at_mut(span * nt);
-                    let (t_chunk, t_tail) = std::mem::take(&mut t_rest).split_at_mut(span);
-                    p_rest = p_tail;
-                    e_rest = e_tail;
-                    t_rest = t_tail;
-                    let chunk_workers = &workers[lo..hi];
-                    let estimator_ref = &estimator;
-                    s.spawn(move |_| {
-                        score_workers(ctx, estimator_ref, chunk_workers, t_chunk, p_chunk, e_chunk);
-                    });
-                }
-            })
-            .expect("scoped scoring workers propagate panics at join");
-        }
+        score_workers(ctx, &estimator, workers, &mut taken, &mut p, &mut eligible);
         for (&w, row) in workers.iter().zip(taken) {
             self.memo.put_row(w.index(), row);
         }
@@ -436,7 +403,6 @@ mod tests {
                 alpha: 0.5,
                 distances: &self.distances,
                 reserved: &self.reserved,
-                threads: 1,
             }
         }
     }

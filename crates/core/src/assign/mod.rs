@@ -42,12 +42,6 @@ pub struct AssignContext<'a> {
     /// ingestion path), so re-issuing would double-charge and the second
     /// answer would be rejected as a duplicate.
     pub reserved: &'a ReservationSet,
-    /// Worker threads for parallel candidate scoring (`≥ 1`; `1` =
-    /// sequential). Candidate scores are pure per-(worker, task), so the
-    /// produced assignment is identical for every setting; the
-    /// [`Framework`](crate::Framework) wires this to the model's
-    /// [`EmParallelism`](crate::EmParallelism) knob.
-    pub threads: usize,
 }
 
 /// The tasks handed to each requesting worker: `A(W) = {A(w) | w ∈ W}`.

@@ -189,7 +189,6 @@ impl Framework {
             alpha: self.model.config().alpha,
             distances: &self.distances,
             reserved: &self.reserved,
-            threads: self.config.policy.parallelism.resolve(),
         };
         let started = self.recorder.is_enabled().then(std::time::Instant::now);
         let mut assignment = assigner.assign(&ctx, worker_ids, self.config.h);

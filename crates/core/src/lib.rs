@@ -73,8 +73,8 @@ pub use framework::{Framework, FrameworkConfig};
 pub use ids::{TaskId, WorkerId};
 pub use labels::LabelBits;
 pub use model::{
-    AnswerGeometry, EmConfig, EmParallelism, EmReport, InferenceResult, InitStrategy, ModelParams,
-    OnlineModel, PeerStats, SufficientStats, UpdatePolicy, WorkerStatDelta,
+    AnswerGeometry, EmConfig, EmReport, InferenceResult, InitStrategy, ModelParams, OnlineModel,
+    PeerStats, SufficientStats, UpdatePolicy, WorkerStatDelta,
 };
 pub use obs::{Recorder, RecorderHandle};
 pub use reserve::ReservationSet;
@@ -87,8 +87,8 @@ pub mod prelude {
     pub use crate::assign::{AccOptAssigner, AssignContext, Assigner, Assignment, InnerLoop};
     pub use crate::framework::{Framework, FrameworkConfig};
     pub use crate::model::{
-        run_em, run_em_naive, AnswerGeometry, EmConfig, EmParallelism, EmReport, InferenceResult,
-        InitStrategy, ModelParams, OnlineModel, PeerStats, UpdatePolicy, WorkerStatDelta,
+        run_em, run_em_naive, AnswerGeometry, EmConfig, EmReport, InferenceResult, InitStrategy,
+        ModelParams, OnlineModel, PeerStats, UpdatePolicy, WorkerStatDelta,
     };
     pub use crate::task::{synthetic_task, Label, Task, TaskSet};
     pub use crate::worker::{Distances, Worker, WorkerPool};

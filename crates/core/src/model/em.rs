@@ -1,31 +1,29 @@
 //! Batch EM parameter estimation (Section III-C of the paper) and the
 //! sufficient statistics shared with the incremental variant.
 //!
-//! Two implementations of the same algorithm live here:
+//! Two implementations of the same plain EM map live here:
 //!
-//! * [`run_em`] / [`run_em_from`] / [`run_em_geometry`] — the production
-//!   path: per-answer terms come from an [`AnswerGeometry`] cache built once
-//!   at submit time, and the per-bit posterior uses the prepared factorised
-//!   form ([`factored_prepared`]) with all dot products hoisted to answer
-//!   level. Bit-identical to the naive path (the hoisted expressions are the
-//!   same arithmetic), just without the recomputation.
+//! * [`run_em`] / [`run_em_from`] / [`run_em_geometry`] /
+//!   [`run_em_geometry_pooled`] — the production path: per-answer terms
+//!   come from an [`AnswerGeometry`] cache built once at submit time, and
+//!   the per-bit posterior uses the prepared factorised form
+//!   ([`factored_prepared`]) with all dot products hoisted to answer
+//!   level. Bit-identical to the naive path (the hoisted expressions are
+//!   the same arithmetic), just without the recomputation.
 //! * [`run_em_naive`] / [`run_em_from_naive`] — the straightforward
 //!   per-bit [`factored`] sweep, kept as the reference implementation, the
 //!   equivalence-test oracle and the benchmark baseline.
 //!
-//! # Data-parallel E-step
+//! # Accelerated iteration
 //!
-//! [`run_em_geometry_threads`] / [`run_em_geometry_pooled_threads`] split
-//! the answer log into fixed index-ordered chunks and compute every bit's
-//! posterior on `crossbeam::thread::scope` workers, each writing a disjoint
-//! slice of one flat buffer. Posteriors are pure functions of the (frozen)
-//! parameters, so the parallel phase is embarrassingly parallel; the
-//! *accumulation* into [`SufficientStats`] then runs sequentially in answer
-//! index order, performing exactly the floating-point additions of the
-//! sequential sweep. Results are therefore **bit-identical for every thread
-//! count and chunking** — enforced by `tests/parallel_equivalence.rs`
-//! against the naive oracle. `threads = 1` short-circuits to the original
-//! single-pass code path.
+//! Both iterate their map through one loop, `squarem`: SQUAREM's
+//! SqS3 extrapolation (Varadhan & Roland 2008) of the worker qualities and
+//! distance mixtures, with a log-likelihood guard that falls back to plain
+//! steps. The online estimator's full, pooled and frozen-baseline rebuilds
+//! use the same loop, so every path converges in the same number of
+//! E-steps for the same map (dirty-set rebuilds iterate their partial map
+//! plain). [`em_step`] exposes one plain step for tests that reason about
+//! the map itself.
 
 use crate::model::geometry::AnswerGeometry;
 use crate::model::gossip::{PeerStats, WorkerStatDelta};
@@ -34,56 +32,7 @@ use crate::model::posterior::{
 };
 use crate::model::{InitStrategy, ModelParams};
 use crate::prob;
-use crate::{Answer, AnswerLog, DistanceFunctionSet, TaskId, TaskSet, WorkerId};
-
-/// How many worker threads the EM sweeps (and the ACCOPT candidate scorer)
-/// may use.
-///
-/// `Auto` resolves to the machine's available parallelism at run time;
-/// `Fixed(1)` is exactly today's sequential code path. Snapshots persist
-/// the knob (absent ⇒ `Fixed(1)` for back-compat with pre-parallel
-/// documents); results are bit-identical across settings, so the knob is a
-/// pure throughput choice.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
-pub enum EmParallelism {
-    /// Use `std::thread::available_parallelism()` (1 if unavailable).
-    #[default]
-    Auto,
-    /// Use exactly this many threads (clamped to at least 1).
-    Fixed(usize),
-}
-
-impl EmParallelism {
-    /// Logs smaller than this run sequentially regardless of the requested
-    /// parallelism: thread spawn/join overhead dwarfs the sweep itself.
-    /// [`run_em_geometry_threads`] honours its `threads` argument literally
-    /// (so equivalence tests can exercise the parallel path on tiny logs);
-    /// the floor is applied by [`EmParallelism::effective`], which the
-    /// [`OnlineModel`](crate::OnlineModel) calls per rebuild.
-    pub const SMALL_LOG_FLOOR: usize = 64;
-
-    /// The configured thread count, with `Auto` resolved against the host.
-    #[must_use]
-    pub fn resolve(self) -> usize {
-        match self {
-            Self::Auto => std::thread::available_parallelism().map_or(1, std::num::NonZero::get),
-            Self::Fixed(n) => n.max(1),
-        }
-    }
-
-    /// The thread count actually worth using for a sweep over `n_answers`:
-    /// [`EmParallelism::resolve`] capped by the answer count, floored to 1
-    /// below [`EmParallelism::SMALL_LOG_FLOOR`] answers.
-    #[must_use]
-    pub fn effective(self, n_answers: usize) -> usize {
-        if n_answers < Self::SMALL_LOG_FLOOR {
-            1
-        } else {
-            self.resolve().min(n_answers)
-        }
-    }
-}
+use crate::{AnswerLog, DistanceFunctionSet, TaskId, TaskSet, WorkerId};
 
 /// Configuration of the EM estimator.
 #[derive(Debug, Clone, PartialEq)]
@@ -119,9 +68,11 @@ impl Default for EmConfig {
 #[derive(Debug, Clone, PartialEq)]
 #[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub struct EmReport {
-    /// Number of iterations performed.
+    /// Number of iterations performed: E-steps, each a plain step of the
+    /// EM map (the stabilising steps of `squarem` included).
     pub iterations: usize,
-    /// Whether the tolerance was reached before `max_iterations`.
+    /// Whether a plain step's residual reached the tolerance before
+    /// `max_iterations`.
     pub converged: bool,
     /// Whether every E-step swept the whole answer log. `false` marks a
     /// dirty-set run (see [`UpdatePolicy`](crate::UpdatePolicy)) that only
@@ -130,8 +81,10 @@ pub struct EmReport {
     /// Answers visited per E-step iteration: the log size for full sweeps,
     /// the dirty-set size for dirty runs.
     pub answers_swept: usize,
-    /// Maximum absolute parameter change after each iteration — the series
-    /// plotted in Figure 10 ("maximum variance of parameters").
+    /// Maximum absolute parameter change `‖F(x) − x‖∞` of each E-step —
+    /// the series plotted in Figure 10 ("maximum variance of parameters").
+    /// Not monotone under SQUAREM: the step after a jump can move further
+    /// than the plain step before it.
     pub max_delta_history: Vec<f64>,
     /// Data log-likelihood `Σ ln P(r)` computed during each E-step — over
     /// the swept answers only on dirty runs.
@@ -527,7 +480,8 @@ pub fn run_em_from(
 /// cache — the hot path shared with [`OnlineModel`](crate::OnlineModel).
 ///
 /// Produces bit-identical results to [`run_em_from_naive`]: the per-answer
-/// terms are the same arithmetic, hoisted out of the per-bit loop.
+/// terms are the same arithmetic, hoisted out of the per-bit loop, and
+/// both run through the same `squarem` loop.
 ///
 /// # Panics
 /// Panics if `geometry` does not cover exactly the answers of `log`.
@@ -538,83 +492,27 @@ pub fn run_em_geometry(
     config: &EmConfig,
     params: &mut ModelParams,
 ) -> EmReport {
-    run_em_geometry_pooled(tasks, log, geometry, config, params, PeerStats::empty_ref())
-}
-
-/// [`run_em_geometry`] with the worker M-step pooled against `peers` —
-/// the rebuild path of a gossiping instance. With an empty peer table the
-/// two are bit-identical.
-///
-/// # Panics
-/// Panics if `geometry` does not cover exactly the answers of `log`.
-pub fn run_em_geometry_pooled(
-    tasks: &TaskSet,
-    log: &AnswerLog,
-    geometry: &AnswerGeometry,
-    config: &EmConfig,
-    params: &mut ModelParams,
-    peers: &PeerStats,
-) -> EmReport {
-    run_em_geometry_pooled_threads(tasks, log, geometry, config, params, peers, 1)
-}
-
-/// [`run_em_geometry`] with the E-step split across `threads` scoped
-/// workers. Bit-identical to the sequential path for every thread count
-/// (see the module docs); `threads <= 1` takes the original single-pass
-/// code path with zero overhead.
-///
-/// The thread count is honoured literally (no small-log floor) so that
-/// equivalence tests can drive the parallel machinery over tiny and
-/// degenerate chunkings; production callers go through
-/// [`EmParallelism::effective`].
-///
-/// # Panics
-/// Panics if `geometry` does not cover exactly the answers of `log`.
-pub fn run_em_geometry_threads(
-    tasks: &TaskSet,
-    log: &AnswerLog,
-    geometry: &AnswerGeometry,
-    config: &EmConfig,
-    params: &mut ModelParams,
-    threads: usize,
-) -> EmReport {
-    run_em_geometry_pooled_threads(
+    run_em_geometry_pooled(
         tasks,
         log,
         geometry,
         config,
         params,
         PeerStats::empty_ref(),
-        threads,
+        None,
     )
 }
 
-/// [`run_em_geometry_pooled`] with the E-step split across `threads`
-/// scoped workers — the most general EM entry point. See
-/// [`run_em_geometry_threads`] for the parallel semantics.
+/// [`run_em_geometry`] with the worker M-step pooled against `peers` —
+/// the rebuild path of a gossiping instance — and, optionally, seeded
+/// from a frozen baseline. With an empty peer table and no baseline the
+/// two are bit-identical.
 ///
-/// # Panics
-/// Panics if `geometry` does not cover exactly the answers of `log`.
-pub fn run_em_geometry_pooled_threads(
-    tasks: &TaskSet,
-    log: &AnswerLog,
-    geometry: &AnswerGeometry,
-    config: &EmConfig,
-    params: &mut ModelParams,
-    peers: &PeerStats,
-    threads: usize,
-) -> EmReport {
-    run_em_geometry_pooled_threads_from(tasks, log, geometry, config, params, peers, threads, None)
-}
-
-/// [`run_em_geometry_pooled_threads`] seeded from a frozen baseline: each
-/// E-step starts from a *clone* of `baseline` instead of zeroed
-/// accumulators, so answers whose payloads were pruned from `log` still
-/// contribute their checkpointed posteriors to every M-step. With
-/// `baseline = None` this is exactly the unseeded sweep.
-///
-/// This is the full-sweep path of a pruned shard: the baseline is the
-/// sufficient statistics captured at the pruning checkpoint (whose
+/// With `baseline = Some(b)` each E-step starts from a *clone* of `b`
+/// instead of zeroed accumulators, so answers whose payloads were pruned
+/// from `log` still contribute their checkpointed posteriors to every
+/// M-step. This is the full-sweep path of a pruned shard: the baseline is
+/// the sufficient statistics captured at the pruning checkpoint (whose
 /// posteriors were computed under the checkpoint parameters), and only the
 /// retained suffix is re-swept under current parameters — the same
 /// approximation class as a dirty-set run.
@@ -622,283 +520,128 @@ pub fn run_em_geometry_pooled_threads(
 /// # Panics
 /// Panics if `geometry` does not cover exactly the answers of `log`, or if
 /// a provided `baseline` was accumulated for a different function count.
-#[allow(clippy::too_many_arguments)]
-pub fn run_em_geometry_pooled_threads_from(
+pub fn run_em_geometry_pooled(
     tasks: &TaskSet,
     log: &AnswerLog,
     geometry: &AnswerGeometry,
     config: &EmConfig,
     params: &mut ModelParams,
     peers: &PeerStats,
-    threads: usize,
     baseline: Option<&SufficientStats>,
 ) -> EmReport {
-    assert_eq!(
-        geometry.len(),
-        log.len(),
-        "geometry cache out of sync with the answer log"
-    );
-    if let Some(b) = baseline {
-        assert_eq!(
-            b.n_funcs,
-            config.fset.len(),
-            "frozen baseline shaped for a different function set"
-        );
-    }
-    let mut report = empty_report(log);
+    let mut step = CachedStep::new(tasks, log, geometry, config, peers, baseline);
     if log.is_empty() {
+        let mut report = empty_report(log);
         report.converged = true;
         return report;
     }
-    let n_workers = log.n_workers().max(peers.n_workers());
-    params.ensure_workers(n_workers);
-
-    let mut stats = SufficientStats::new(tasks, n_workers, config.fset.len());
-    let mut scratch = Posterior::zeros(config.fset.len());
-    let mut terms = AnswerTerms::zeros(config.fset.len());
-    let mut previous = params.clone();
-    // Flat posterior buffer for the parallel E-step, allocated once and
-    // reused across iterations (unused on the sequential path).
-    let mut buf = Vec::new();
-
-    for _ in 0..config.max_iterations {
-        match baseline {
-            Some(b) => {
-                stats.clone_from(b);
-                stats.ensure_workers(n_workers);
-            }
-            None => stats.clear(),
-        }
-        let log_likelihood = if threads <= 1 {
-            estep_full(
-                log,
-                geometry,
-                config,
-                params,
-                &mut stats,
-                &mut terms,
-                &mut scratch,
-            )
-        } else {
-            fill_posteriors_par(log, geometry, config, params, threads, &mut buf);
-            estep_reduce(log, geometry, config, &mut stats, &mut scratch, &buf)
-        };
-
-        // M-step (worker side pooled with whatever the peers contributed).
-        stats.apply_all_pooled(params, tasks, peers);
-        debug_assert!(params.check_invariants());
-
-        let delta = params.max_abs_diff(&previous);
-        previous.clone_from(params);
-        report.iterations += 1;
-        report.max_delta_history.push(delta);
-        report.log_likelihood_history.push(log_likelihood);
-        if delta <= config.tolerance {
-            report.converged = true;
-            break;
-        }
+    params.ensure_workers(step.n_workers);
+    EmReport {
+        answers_swept: log.len(),
+        ..squarem(config, params, |p| step.run(p))
     }
-    report
 }
 
-/// Slots per label bit in the flat posterior buffer:
-/// `[z1, i1, ln(max(likelihood, EPS)), dw[0..n_funcs], dt[0..n_funcs]]`.
+/// One plain E+M step `x ← F(x)` on the geometry-cached path, with the
+/// worker M-step pooled against `peers`: the map every EM run iterates
+/// (and `squarem` extrapolates). Returns the data log-likelihood
+/// `Σ ln P(r)` under the parameters the step started from.
 ///
-/// The log-likelihood term is computed in the parallel phase so the
-/// sequential reduce adds exactly the values (in exactly the order) the
-/// sequential sweep would.
-pub(crate) fn posterior_stride(n_funcs: usize) -> usize {
-    3 + 2 * n_funcs
-}
-
-/// Computes the posteriors of one answer's label bits into `out`
-/// (`bits.len() * stride` slots) — the per-answer body of [`estep_full`]
-/// minus the accumulation.
-#[allow(clippy::too_many_arguments)] // internal per-answer kernel; grouping would add a struct per call
-fn fill_answer_posteriors(
-    answer: &Answer,
-    i: usize,
-    geometry: &AnswerGeometry,
-    config: &EmConfig,
-    params: &ModelParams,
-    terms: &mut AnswerTerms,
-    scratch: &mut Posterior,
-    out: &mut [f64],
-) {
-    let n_funcs = config.fset.len();
-    let stride = posterior_stride(n_funcs);
-    let base = geometry.base(i);
-    let pdw = params.dw(answer.worker);
-    let pdt = params.dt(answer.task);
-    terms.prepare(pdw, pdt, geometry.fvals(i), config.alpha);
-    let pi1 = params.inherent(answer.worker);
-    for (k, r) in answer.bits.iter().enumerate() {
-        factored_prepared(terms, pdw, pdt, params.z_slot(base + k), pi1, r, scratch);
-        let slot = &mut out[k * stride..(k + 1) * stride];
-        slot[0] = scratch.z1;
-        slot[1] = scratch.i1;
-        slot[2] = scratch.likelihood.max(prob::EPS).ln();
-        slot[3..3 + n_funcs].copy_from_slice(&scratch.dw);
-        slot[3 + n_funcs..3 + 2 * n_funcs].copy_from_slice(&scratch.dt);
-    }
-}
-
-/// Parallel phase of the data-parallel E-step: computes the posterior of
-/// every answer bit in `log` into `buf` (resized to `total_bits * stride`),
-/// split over `threads` scoped workers in fixed index-ordered chunks.
-/// Posteriors depend only on the frozen `params`, so each chunk writes a
-/// disjoint `split_at_mut` slice and no synchronisation is needed.
-pub(crate) fn fill_posteriors_par(
+/// # Panics
+/// Panics if `geometry` does not cover exactly the answers of `log`.
+pub fn em_step(
+    tasks: &TaskSet,
     log: &AnswerLog,
     geometry: &AnswerGeometry,
     config: &EmConfig,
-    params: &ModelParams,
-    threads: usize,
-    buf: &mut Vec<f64>,
-) {
-    let n_funcs = config.fset.len();
-    let stride = posterior_stride(n_funcs);
-    let n = log.len();
-    buf.clear();
-    buf.resize(geometry.total_bits() * stride, 0.0);
-    let answers = log.answers();
-    let threads = threads.clamp(1, n.max(1));
-    crossbeam::thread::scope(|s| {
-        let mut rest: &mut [f64] = buf.as_mut_slice();
-        for c in 0..threads {
-            let lo = c * n / threads;
-            let hi = (c + 1) * n / threads;
-            if lo == hi {
-                continue;
-            }
-            let chunk_bit_base = geometry.bit_offset_at(lo);
-            let chunk_bits = geometry.bit_offset_at(hi) - chunk_bit_base;
-            let (chunk_buf, tail) = std::mem::take(&mut rest).split_at_mut(chunk_bits * stride);
-            rest = tail;
-            s.spawn(move |_| {
-                let mut terms = AnswerTerms::zeros(n_funcs);
-                let mut scratch = Posterior::zeros(n_funcs);
-                for (i, answer) in answers.iter().enumerate().take(hi).skip(lo) {
-                    let off = (geometry.bit_offset_at(i) - chunk_bit_base) * stride;
-                    let span = answer.bits.len() * stride;
-                    fill_answer_posteriors(
-                        answer,
-                        i,
-                        geometry,
-                        config,
-                        params,
-                        &mut terms,
-                        &mut scratch,
-                        &mut chunk_buf[off..off + span],
-                    );
-                }
-            });
-        }
-    })
-    .expect("scoped EM workers propagate panics at join");
-}
-
-/// Selection variant of [`fill_posteriors_par`]: computes posteriors for
-/// the answers at stream positions `indices` (the dirty set), laid out in
-/// selection order. `sel_offsets` holds the cumulative label-bit count
-/// before each selected answer (`indices.len() + 1` entries) so chunk
-/// boundaries map to disjoint buffer spans.
-#[allow(clippy::too_many_arguments)] // mirror of fill_posteriors_par plus the selection pair
-pub(crate) fn fill_posteriors_selection_par(
-    log: &AnswerLog,
-    geometry: &AnswerGeometry,
-    config: &EmConfig,
-    params: &ModelParams,
-    indices: &[u32],
-    sel_offsets: &[usize],
-    threads: usize,
-    buf: &mut Vec<f64>,
-) {
-    debug_assert_eq!(sel_offsets.len(), indices.len() + 1);
-    let n_funcs = config.fset.len();
-    let stride = posterior_stride(n_funcs);
-    let n = indices.len();
-    buf.clear();
-    buf.resize(sel_offsets.last().copied().unwrap_or(0) * stride, 0.0);
-    let answers = log.answers();
-    let threads = threads.clamp(1, n.max(1));
-    crossbeam::thread::scope(|s| {
-        let mut rest: &mut [f64] = buf.as_mut_slice();
-        for c in 0..threads {
-            let lo = c * n / threads;
-            let hi = (c + 1) * n / threads;
-            if lo == hi {
-                continue;
-            }
-            let chunk_bit_base = sel_offsets[lo];
-            let chunk_bits = sel_offsets[hi] - chunk_bit_base;
-            let (chunk_buf, tail) = std::mem::take(&mut rest).split_at_mut(chunk_bits * stride);
-            rest = tail;
-            s.spawn(move |_| {
-                let mut terms = AnswerTerms::zeros(n_funcs);
-                let mut scratch = Posterior::zeros(n_funcs);
-                for pos in lo..hi {
-                    let i = indices[pos] as usize;
-                    let answer = &answers[i];
-                    let off = (sel_offsets[pos] - chunk_bit_base) * stride;
-                    let span = answer.bits.len() * stride;
-                    fill_answer_posteriors(
-                        answer,
-                        i,
-                        geometry,
-                        config,
-                        params,
-                        &mut terms,
-                        &mut scratch,
-                        &mut chunk_buf[off..off + span],
-                    );
-                }
-            });
-        }
-    })
-    .expect("scoped EM workers propagate panics at join");
-}
-
-/// Sequential phase of the data-parallel E-step: folds the precomputed
-/// posterior buffer into `stats` in answer index order, issuing exactly the
-/// floating-point additions of [`estep_full`] — same operands, same order —
-/// so the result is bit-identical regardless of how the parallel phase was
-/// chunked. Returns the data log-likelihood.
-fn estep_reduce(
-    log: &AnswerLog,
-    geometry: &AnswerGeometry,
-    config: &EmConfig,
-    stats: &mut SufficientStats,
-    scratch: &mut Posterior,
-    buf: &[f64],
+    params: &mut ModelParams,
+    peers: &PeerStats,
 ) -> f64 {
-    let n_funcs = config.fset.len();
-    let stride = posterior_stride(n_funcs);
-    let mut log_likelihood = 0.0;
-    for (i, answer) in log.answers().iter().enumerate() {
-        let base = geometry.base(i);
-        stats.add_answer(answer.task, answer.worker, answer.bits.len());
-        let bit0 = geometry.bit_offset_at(i);
-        for k in 0..answer.bits.len() {
-            let slot = &buf[(bit0 + k) * stride..(bit0 + k + 1) * stride];
-            scratch.z1 = slot[0];
-            scratch.i1 = slot[1];
-            log_likelihood += slot[2];
-            scratch.dw.copy_from_slice(&slot[3..3 + n_funcs]);
-            scratch
-                .dt
-                .copy_from_slice(&slot[3 + n_funcs..3 + 2 * n_funcs]);
-            stats.add_label_bit(base + k, answer.task, answer.worker, scratch);
+    let mut step = CachedStep::new(tasks, log, geometry, config, peers, None);
+    params.ensure_workers(step.n_workers);
+    step.run(params)
+}
+
+/// The plain EM map on the geometry-cached path, with its accumulators
+/// allocated once and reused across iterations.
+struct CachedStep<'a> {
+    tasks: &'a TaskSet,
+    log: &'a AnswerLog,
+    geometry: &'a AnswerGeometry,
+    config: &'a EmConfig,
+    peers: &'a PeerStats,
+    baseline: Option<&'a SufficientStats>,
+    n_workers: usize,
+    stats: SufficientStats,
+    scratch: Posterior,
+    terms: AnswerTerms,
+}
+
+impl<'a> CachedStep<'a> {
+    fn new(
+        tasks: &'a TaskSet,
+        log: &'a AnswerLog,
+        geometry: &'a AnswerGeometry,
+        config: &'a EmConfig,
+        peers: &'a PeerStats,
+        baseline: Option<&'a SufficientStats>,
+    ) -> Self {
+        assert_eq!(
+            geometry.len(),
+            log.len(),
+            "geometry cache out of sync with the answer log"
+        );
+        if let Some(b) = baseline {
+            assert_eq!(
+                b.n_funcs,
+                config.fset.len(),
+                "frozen baseline shaped for a different function set"
+            );
+        }
+        let n_workers = log.n_workers().max(peers.n_workers());
+        let n_funcs = config.fset.len();
+        Self {
+            tasks,
+            log,
+            geometry,
+            config,
+            peers,
+            baseline,
+            n_workers,
+            stats: SufficientStats::new(tasks, n_workers, n_funcs),
+            scratch: Posterior::zeros(n_funcs),
+            terms: AnswerTerms::zeros(n_funcs),
         }
     }
-    log_likelihood
+
+    fn run(&mut self, params: &mut ModelParams) -> f64 {
+        match self.baseline {
+            Some(b) => {
+                self.stats.clone_from(b);
+                self.stats.ensure_workers(self.n_workers);
+            }
+            None => self.stats.clear(),
+        }
+        let log_likelihood = estep_full(
+            self.log,
+            self.geometry,
+            self.config,
+            params,
+            &mut self.stats,
+            &mut self.terms,
+            &mut self.scratch,
+        );
+        // M-step (worker side pooled with whatever the peers contributed).
+        self.stats.apply_all_pooled(params, self.tasks, self.peers);
+        debug_assert!(params.check_invariants());
+        log_likelihood
+    }
 }
 
 /// One full E-step over every answer bit on the geometry-cached path,
 /// accumulating into `stats` (which the caller has cleared). Returns the
 /// data log-likelihood `Σ ln P(r)`.
-#[allow(clippy::too_many_arguments)]
-pub(crate) fn estep_full(
+fn estep_full(
     log: &AnswerLog,
     geometry: &AnswerGeometry,
     config: &EmConfig,
@@ -924,6 +667,125 @@ pub(crate) fn estep_full(
     log_likelihood
 }
 
+/// Iterates the plain EM map `step` (`x ← F(x)`, returning the
+/// log-likelihood of the `x` it started from) to convergence or
+/// `config.max_iterations`, accelerated by SQUAREM's SqS3 scheme
+/// (Varadhan & Roland 2008).
+///
+/// Each cycle takes two plain steps `x0 → x1 → x2`, sets
+/// `r = x1 − x0`, `v = x2 − 2·x1 + x0` and the step length
+/// `α = −‖r‖/‖v‖` over the extrapolated parameters, jumps to
+/// `x0 − 2αr + α²v` (see [`ModelParams::squarem_extrapolate`]) and takes
+/// one plain stabilising step from there. When the extrapolated point's
+/// log-likelihood is non-finite or below that of `x1` — the last plain
+/// iterate whose log-likelihood is known — the jump is discarded and a
+/// plain step from `x2` is taken instead. `α ≥ −1` is at most the plain
+/// double step, so no jump is taken then.
+///
+/// Only `P(i_w)`, `P(d_w)` and `P(d_t)` are extrapolated; `P(z)` takes
+/// the plain double step (see [`ModelParams::squarem_extrapolate`]). A
+/// jump that would leave the open domain — any extrapolated
+/// probability or mixture weight outside `(0, 1)` — is
+/// backtracked towards the plain double step, `α ← (α − 1)/2`, until it
+/// stays inside (SQUAREM's rule for infeasible points). Projecting such a
+/// jump onto the boundary instead parks weights and qualities at `EPS` or
+/// `1 − EPS`, where EM's multiplicative updates barely move them again;
+/// on sparse sharded campaigns that cost about a point of accuracy.
+///
+/// Accounting: every call of `step` is one iteration against
+/// `max_iterations` and pushes one entry onto each history (its residual
+/// `‖F(x) − x‖∞` and log-likelihood). Convergence is only declared on a
+/// plain-step residual at or below `config.tolerance`, so `converged`
+/// keeps the meaning it has for un-accelerated EM. A jump is only tried
+/// when at least two iterations remain, so a rejected jump can always
+/// fall back. The returned report has `full_sweep` set and
+/// `answers_swept = 0`; the caller fills those in.
+pub(crate) fn squarem<F>(config: &EmConfig, params: &mut ModelParams, mut step: F) -> EmReport
+where
+    F: FnMut(&mut ModelParams) -> f64,
+{
+    let mut report = EmReport {
+        iterations: 0,
+        converged: false,
+        full_sweep: true,
+        answers_swept: 0,
+        max_delta_history: Vec::new(),
+        log_likelihood_history: Vec::new(),
+    };
+    let mut previous = params.clone();
+    // One recorded plain step; returns its log-likelihood and residual.
+    let mut take = |params: &mut ModelParams, report: &mut EmReport| {
+        previous.clone_from(params);
+        let log_likelihood = step(params);
+        let delta = params.max_abs_diff(&previous);
+        report.iterations += 1;
+        report.max_delta_history.push(delta);
+        report.log_likelihood_history.push(log_likelihood);
+        (log_likelihood, delta)
+    };
+    let remaining = |report: &EmReport| config.max_iterations.saturating_sub(report.iterations);
+    let (mut x0, mut x1, mut x2) = (params.clone(), params.clone(), params.clone());
+    report.converged = loop {
+        if remaining(&report) == 0 {
+            break false;
+        }
+        x0.clone_from(params);
+        if take(params, &mut report).1 <= config.tolerance {
+            break true;
+        }
+        if remaining(&report) == 0 {
+            break false;
+        }
+        x1.clone_from(params);
+        let (ll1, delta) = take(params, &mut report);
+        if delta <= config.tolerance {
+            break true;
+        }
+        if remaining(&report) < 2 {
+            continue;
+        }
+        let Some(alpha) = jump_length(&x0, &x1, params) else {
+            continue;
+        };
+        x2.clone_from(params);
+        params.squarem_extrapolate(&x0, &x1, &x2, alpha);
+        let (ll, mut delta) = take(params, &mut report);
+        if !ll.is_finite() || ll < ll1 {
+            params.clone_from(&x2);
+            delta = take(params, &mut report).1;
+        }
+        if delta <= config.tolerance {
+            break true;
+        }
+    };
+    report
+}
+
+/// Most halvings of `α + 1` before a jump that keeps leaving the domain
+/// is given up for the plain double step.
+const MAX_BACKTRACKS: usize = 30;
+
+/// The SqS3 step length `α = −‖r‖/‖v‖` for the iterates `x0 → x1 → x2`,
+/// backtracked towards `−1` until the jump stays inside the domain, or
+/// `None` when no jump beyond the plain double step is possible.
+fn jump_length(x0: &ModelParams, x1: &ModelParams, x2: &ModelParams) -> Option<f64> {
+    let (r2, v2) = ModelParams::squarem_norms(x0, x1, x2);
+    let mut alpha = -(r2 / v2).sqrt();
+    if alpha.is_nan() {
+        return None;
+    }
+    for _ in 0..MAX_BACKTRACKS {
+        if alpha >= -1.0 {
+            return None;
+        }
+        if ModelParams::squarem_jump_in_domain(x0, x1, x2, alpha) {
+            return Some(alpha);
+        }
+        alpha = (alpha - 1.0) / 2.0;
+    }
+    None
+}
+
 /// Runs batch EM on the straightforward per-bit path — the reference
 /// implementation the optimized path is property-tested against, and the
 /// baseline the `em` bench compares to.
@@ -941,7 +803,8 @@ pub fn run_em_naive(
 
 /// Runs the reference batch EM starting from (and updating) existing
 /// parameters: per-iteration [`FvalTable`] lookups, per-bit [`factored`]
-/// calls, no hoisting. Kept verbatim as the oracle for the cached path.
+/// calls, no hoisting, through the same `squarem` loop as the cached
+/// path. Kept as the oracle for the cached path.
 pub fn run_em_from_naive(
     tasks: &TaskSet,
     log: &AnswerLog,
@@ -958,9 +821,7 @@ pub fn run_em_from_naive(
     let fvals = FvalTable::build(log, &config.fset);
     let mut stats = SufficientStats::new(tasks, log.n_workers(), config.fset.len());
     let mut scratch = Posterior::zeros(config.fset.len());
-    let mut previous = params.clone();
-
-    for _ in 0..config.max_iterations {
+    let step = |params: &mut ModelParams| {
         stats.clear();
         let mut log_likelihood = 0.0;
 
@@ -987,18 +848,12 @@ pub fn run_em_from_naive(
         // M-step.
         stats.apply_all(params, tasks);
         debug_assert!(params.check_invariants());
-
-        let delta = params.max_abs_diff(&previous);
-        previous.clone_from(params);
-        report.iterations += 1;
-        report.max_delta_history.push(delta);
-        report.log_likelihood_history.push(log_likelihood);
-        if delta <= config.tolerance {
-            report.converged = true;
-            break;
-        }
+        log_likelihood
+    };
+    EmReport {
+        answers_swept: log.len(),
+        ..squarem(config, params, step)
     }
-    report
 }
 
 #[cfg(test)]
@@ -1128,6 +983,90 @@ mod tests {
         let (_, report) = run_em(&tasks, &log, &config);
         assert_eq!(report.iterations, 3);
         assert!(!report.converged);
+    }
+
+    /// A linear contraction `z ← z + (target − z)/2` on every slot: plain
+    /// iteration needs ~30 steps to reach 1e-9; one SqS3 jump lands on the
+    /// fixed point.
+    /// A linear map halving each worker quality's distance to `target`;
+    /// returns minus the squared distance it started from.
+    fn contraction(target: f64) -> impl FnMut(&mut ModelParams) -> f64 {
+        move |p: &mut ModelParams| {
+            let mut sq = 0.0;
+            for w in 0..p.n_workers() {
+                let w = WorkerId::from_index(w);
+                let q = p.inherent(w);
+                sq += (q - target) * (q - target);
+                p.set_inherent(w, q + (target - q) / 2.0);
+            }
+            -sq
+        }
+    }
+
+    #[test]
+    fn squarem_jumps_to_the_fixed_point_of_a_linear_map() {
+        let (tasks, log) = conflict_world();
+        let config = EmConfig {
+            tolerance: 1e-9,
+            ..EmConfig::default()
+        };
+        let mut params = ModelParams::init(&tasks, 3, 3, InitStrategy::Uniform, &log);
+        let report = squarem(&config, &mut params, contraction(0.9));
+        assert!(report.converged);
+        assert!(report.iterations < 12, "{} E-steps", report.iterations);
+        assert_eq!(report.iterations, report.max_delta_history.len());
+        assert!(params
+            .inherent_all()
+            .iter()
+            .all(|&q| (q - 0.9).abs() < 1e-9));
+    }
+
+    #[test]
+    fn squarem_backtracks_jumps_that_leave_the_domain() {
+        // One quality moving 0.5 → 0.6 → 0.75: α = −‖r‖/‖v‖ = −2 would
+        // jump to 1.1, outside the domain; one halving towards −1 gives
+        // α = −1.5 and a jump to 0.9125.
+        let (tasks, log) = conflict_world();
+        let x0 = ModelParams::init(&tasks, 3, 3, InitStrategy::Uniform, &log);
+        let (mut x1, mut x2) = (x0.clone(), x0.clone());
+        let w = WorkerId(0);
+        let mut start = x0.clone();
+        start.set_inherent(w, 0.5);
+        x1.set_inherent(w, 0.6);
+        x2.set_inherent(w, 0.75);
+        let alpha = jump_length(&start, &x1, &x2).expect("a jump");
+        assert!((alpha + 1.5).abs() < 1e-9, "α = {alpha}");
+        let mut jumped = x2.clone();
+        jumped.squarem_extrapolate(&start, &x1, &x2, alpha);
+        assert!((jumped.inherent(w) - 0.9125).abs() < 1e-12);
+        assert_eq!(jumped.inherent(WorkerId(1)), x2.inherent(WorkerId(1)));
+    }
+
+    #[test]
+    fn squarem_falls_back_when_the_likelihood_drops() {
+        // A step whose log-likelihood falls on every call makes every jump
+        // look bad: each is discarded for a plain step from x2, so the run
+        // is the plain iteration plus one wasted E-step per cycle.
+        let (tasks, log) = conflict_world();
+        let config = EmConfig {
+            tolerance: 1e-9,
+            ..EmConfig::default()
+        };
+        let mut params = ModelParams::init(&tasks, 3, 3, InitStrategy::Uniform, &log);
+        let mut inner = contraction(0.9);
+        let mut calls = 0.0;
+        let report = squarem(&config, &mut params, |p| {
+            calls += 1.0;
+            inner(p);
+            -calls
+        });
+        assert!(report.converged);
+        assert!(report.iterations > 30, "{} E-steps", report.iterations);
+        assert_eq!(report.log_likelihood_history.len(), report.iterations);
+        assert!(params
+            .inherent_all()
+            .iter()
+            .all(|&q| (q - 0.9).abs() < 1e-9));
     }
 
     #[test]

@@ -44,7 +44,7 @@ pub struct WorkerStatDelta {
     /// Strictly increasing per source — instances stamp a publish
     /// counter, so no two distinct payloads ever share a version (an
     /// instance's statistics can change without new answers, e.g. after a
-    /// hardening sweep rebuilds them under converged parameters). A
+    /// hardening sweep rebuilds them under new parameters). A
     /// higher version always carries a newer snapshot of the source's
     /// cumulative statistics.
     pub version: u64,

@@ -5,15 +5,19 @@
 //! The rebuild itself comes in two flavours:
 //!
 //! * a **full sweep** — batch EM over the whole log on the geometry-cached
-//!   fast path ([`crate::model::em::run_em_geometry_pooled_threads`]),
-//!   bit-identical to the
-//!   naive reference when no peer statistics have been folded in — for
-//!   *every* [`UpdatePolicy::parallelism`] setting;
+//!   fast path ([`crate::model::em::run_em_geometry_pooled`]),
+//!   bit-identical to the naive reference when no peer statistics have
+//!   been folded in;
 //! * a **dirty-set sweep** — batch EM that warm-starts from the current
 //!   parameters and re-sweeps only the answers whose task or worker was
-//!   touched since the last converged run. Clean answers keep their cached
+//!   touched since the last rebuild. Clean answers keep their cached
 //!   posterior contributions (Neal & Hinton's partial E-step), so the cost
 //!   scales with the *churn*, not the log.
+//!
+//! Full sweeps iterate their map through the SQUAREM loop of
+//! [`crate::model::em`]; dirty-set sweeps iterate their partial map plain
+//! (see `OnlineModel::dirty_sweep`). Both take one sequential E-step per
+//! iteration.
 //!
 //! [`UpdatePolicy::full_sweep_every`] schedules a guaranteed full sweep
 //! every `K`-th rebuild, which both bounds the staleness of the frozen
@@ -29,10 +33,7 @@
 //! count, so `P(i_w)` / `P(d_w)` converge on what a single instance holding
 //! the union of the answers would estimate.
 
-use crate::model::em::{
-    fill_posteriors_par, fill_posteriors_selection_par, posterior_stride,
-    run_em_geometry_pooled_threads_from, EmConfig, EmParallelism, EmReport, SufficientStats,
-};
+use crate::model::em::{run_em_geometry_pooled, EmConfig, EmReport, SufficientStats};
 use crate::model::geometry::AnswerGeometry;
 use crate::model::gossip::{PeerStats, WorkerStatDelta};
 use crate::model::posterior::{factored_prepared, AnswerTerms, Posterior};
@@ -72,13 +73,6 @@ pub struct UpdatePolicy {
     /// headroom for burstier streams while still catching the
     /// nearly-all-dirty case. Re-sweep when the workload shape changes.
     pub dirty_coverage_fallback: usize,
-    /// Worker threads for the E-step of delayed rebuilds (full and
-    /// dirty-set sweeps). Results are bit-identical for every setting —
-    /// the parallel phase only precomputes posteriors; accumulation stays
-    /// sequential in answer order — so this is a pure throughput knob.
-    /// Sweeps over fewer than [`EmParallelism::SMALL_LOG_FLOOR`] answers
-    /// always run sequentially.
-    pub parallelism: EmParallelism,
 }
 
 impl Default for UpdatePolicy {
@@ -87,7 +81,6 @@ impl Default for UpdatePolicy {
             full_em_every: Some(100),
             full_sweep_every: 8,
             dirty_coverage_fallback: 60,
-            parallelism: EmParallelism::default(),
         }
     }
 }
@@ -106,7 +99,7 @@ impl UpdatePolicy {
     }
 }
 
-/// Tasks and workers touched since the last converged rebuild.
+/// Tasks and workers touched since the last rebuild.
 #[derive(Debug, Clone, Default, PartialEq, Eq)]
 #[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 struct DirtySet {
@@ -247,8 +240,6 @@ pub struct OnlineModel {
     peers: PeerStats,
     scratch: Posterior,
     terms: AnswerTerms,
-    /// Reusable buffer of pre-M-step parameter values for delta tracking.
-    mstep_old: Vec<f64>,
     /// Frozen sufficient statistics of the pruned answer-stream prefix,
     /// captured (as an exact clone of `stats`) at the pruning checkpoint.
     /// `None` until [`OnlineModel::prune_frozen`] runs. Every stats
@@ -285,7 +276,6 @@ impl OnlineModel {
             peers: PeerStats::new(),
             scratch: Posterior::zeros(n_funcs),
             terms: AnswerTerms::zeros(n_funcs),
-            mstep_old: Vec::new(),
             frozen: None,
             absorbed_since_full: 0,
             runs_since_sweep: 0,
@@ -428,16 +418,7 @@ impl OnlineModel {
             }
         }
         let report = report.unwrap_or_else(|| self.run_full_sweep(tasks, log));
-        if let Some(t0) = started {
-            let threads = self.policy.parallelism.effective(report.answers_swept);
-            self.recorder.em_rebuild(
-                t0.elapsed(),
-                report.full_sweep,
-                report.answers_swept,
-                threads,
-            );
-        }
-        self.finish_run(report);
+        self.finish_run(started, report);
     }
 
     /// Runs an unconditional full-sweep batch EM (end-of-campaign
@@ -446,16 +427,7 @@ impl OnlineModel {
         let started = self.recorder.is_enabled().then(std::time::Instant::now);
         self.sync_caches(tasks, log);
         let report = self.run_full_sweep(tasks, log);
-        if let Some(t0) = started {
-            let threads = self.policy.parallelism.effective(report.answers_swept);
-            self.recorder.em_rebuild(
-                t0.elapsed(),
-                report.full_sweep,
-                report.answers_swept,
-                threads,
-            );
-        }
-        self.finish_run(report);
+        self.finish_run(started, report);
     }
 
     /// Attaches (or clears, with [`RecorderHandle::none`]) the timing
@@ -471,22 +443,23 @@ impl OnlineModel {
         self.geometry.sync(tasks, log, &self.config.fset);
     }
 
-    fn finish_run(&mut self, report: EmReport) {
+    fn finish_run(&mut self, started: Option<std::time::Instant>, report: EmReport) {
+        if let Some(t0) = started {
+            self.recorder.em_rebuild(t0.elapsed(), &report);
+        }
         self.dirty.clear();
         self.absorbed_since_full = 0;
         self.last_report = Some(report);
     }
 
     fn run_full_sweep(&mut self, tasks: &TaskSet, log: &AnswerLog) -> EmReport {
-        let threads = self.policy.parallelism.effective(log.len());
-        let report = run_em_geometry_pooled_threads_from(
+        let report = run_em_geometry_pooled(
             tasks,
             log,
             &self.geometry,
             &self.config,
             &mut self.params,
             &self.peers,
-            threads,
             self.frozen.as_ref(),
         );
         self.rebuild_stats(log);
@@ -501,34 +474,11 @@ impl OnlineModel {
         }
         self.stats.ensure_workers(log.n_workers());
         self.contribs.reset(&self.geometry);
-        let threads = self.policy.parallelism.effective(log.len());
-        if threads > 1 {
-            // Posteriors are pure in the (now frozen) parameters: compute
-            // them in parallel, then fold sequentially in answer order —
-            // the exact additions of the sequential loop below.
-            let stride = posterior_stride(self.config.fset.len());
-            let mut buf = Vec::new();
-            fill_posteriors_par(
-                log,
-                &self.geometry,
-                &self.config,
-                &self.params,
-                threads,
-                &mut buf,
-            );
-            for (i, answer) in log.answers().iter().enumerate() {
-                self.stats
-                    .add_answer(answer.task, answer.worker, answer.bits.len());
-                let bits = self.geometry.bit_range(i);
-                let span = &buf[bits.start * stride..bits.end * stride];
-                self.accumulate_answer_from_buf(i, answer, span, None);
-            }
-        } else {
-            for (i, answer) in log.answers().iter().enumerate() {
-                self.stats
-                    .add_answer(answer.task, answer.worker, answer.bits.len());
-                self.accumulate_answer(i, answer, None);
-            }
+        let (params, mut pass) = self.pass();
+        for (i, answer) in log.answers().iter().enumerate() {
+            pass.stats
+                .add_answer(answer.task, answer.worker, answer.bits.len());
+            pass.accumulate(params, i, answer, None);
         }
     }
 
@@ -553,84 +503,79 @@ impl OnlineModel {
         if dirty_answers.len() * 100 > log.len() * self.policy.dirty_coverage_fallback {
             return None;
         }
+        if dirty_answers.is_empty() {
+            return Some(EmReport {
+                iterations: 0,
+                converged: true,
+                full_sweep: false,
+                answers_swept: 0,
+                max_delta_history: Vec::new(),
+                log_likelihood_history: Vec::new(),
+            });
+        }
+
+        let answers = log.answers();
         let mut report = EmReport {
             iterations: 0,
-            converged: true,
+            converged: false,
             full_sweep: false,
             answers_swept: dirty_answers.len(),
             max_delta_history: Vec::new(),
             log_likelihood_history: Vec::new(),
         };
-        if dirty_answers.is_empty() {
-            return Some(report);
-        }
-        report.converged = false;
-
-        let answers = log.answers();
-        let threads = self.policy.parallelism.effective(dirty_answers.len());
-        let stride = posterior_stride(self.config.fset.len());
-        // Cumulative label-bit count before each dirty answer — fixed for
-        // the whole sweep, so computed once.
-        let mut sel_offsets = Vec::new();
-        if threads > 1 {
-            sel_offsets.reserve(dirty_answers.len() + 1);
-            sel_offsets.push(0usize);
-            for &i in &dirty_answers {
-                let last = *sel_offsets.last().expect("non-empty offsets");
-                sel_offsets.push(last + answers[i as usize].bits.len());
-            }
-        }
-        let mut buf = Vec::new();
+        let mut old = Vec::new();
+        // Plain iterations of the partial map; no SQUAREM jumps here. The
+        // partial map is not the EM map of a likelihood the SQUAREM guard
+        // could check (touched tasks also keep their clean answers' frozen
+        // contributions), and a plain loop only pays for the touched
+        // entities, where SQUAREM clones and extrapolates every parameter.
         for _ in 0..self.config.max_iterations {
-            // Partial E-step: replace each dirty answer's contribution.
-            // Parameters are frozen until the partial M-step below, so the
-            // posteriors can be precomputed in parallel; the sequential
-            // subtract/re-add fold below is unchanged either way.
-            if threads > 1 {
-                fill_posteriors_selection_par(
-                    log,
-                    &self.geometry,
-                    &self.config,
-                    &self.params,
-                    &dirty_answers,
-                    &sel_offsets,
-                    threads,
-                    &mut buf,
-                );
-            }
+            // Partial E-step: replace each dirty answer's contribution
+            // with its posterior under the current parameters.
             let mut log_likelihood = 0.0;
-            for (pos, &i) in dirty_answers.iter().enumerate() {
+            let (params, mut pass) = self.pass();
+            for &i in &dirty_answers {
                 let i = i as usize;
                 let answer = &answers[i];
-                let bit_range = self.geometry.bit_range(i);
-                self.stats.sub_answer_contrib(
-                    self.geometry.base(i),
+                let bit_range = pass.geometry.bit_range(i);
+                pass.stats.sub_answer_contrib(
+                    pass.geometry.base(i),
                     answer.task,
                     answer.worker,
-                    &self.contribs.z1[bit_range],
-                    self.contribs.i1[i],
-                    self.contribs.dw_row(i),
-                    self.contribs.dt_row(i),
+                    &pass.contribs.z1[bit_range],
+                    pass.contribs.i1[i],
+                    pass.contribs.dw_row(i),
+                    pass.contribs.dt_row(i),
                 );
-                if threads > 1 {
-                    let span = &buf[sel_offsets[pos] * stride..sel_offsets[pos + 1] * stride];
-                    self.accumulate_answer_from_buf(i, answer, span, Some(&mut log_likelihood));
-                } else {
-                    self.accumulate_answer(i, answer, Some(&mut log_likelihood));
-                }
+                pass.accumulate(params, i, answer, Some(&mut log_likelihood));
             }
 
             // Partial M-step over the touched entities, tracking the
-            // parameter delta (untouched parameters cannot move).
+            // residual there (untouched parameters cannot move).
             let mut delta = 0.0_f64;
             for (t, touched) in touched_tasks.iter().enumerate() {
                 if *touched {
-                    delta = delta.max(self.apply_task_tracked(tasks, TaskId::from_index(t)));
+                    let t = TaskId::from_index(t);
+                    let z = tasks.label_offset(t)..tasks.label_offset(t) + tasks.n_labels(t);
+                    old.clear();
+                    old.extend_from_slice(&self.params.z()[z.clone()]);
+                    old.extend_from_slice(self.params.dt(t));
+                    self.stats.apply_task(&mut self.params, tasks, t);
+                    let new = self.params.z()[z].iter().chain(self.params.dt(t));
+                    delta = delta.max(max_moved(&old, new));
                 }
             }
             for (w, touched) in touched_workers.iter().enumerate() {
                 if *touched {
-                    delta = delta.max(self.apply_worker_tracked(WorkerId::from_index(w)));
+                    let w = WorkerId::from_index(w);
+                    old.clear();
+                    old.push(self.params.inherent(w));
+                    old.extend_from_slice(self.params.dw(w));
+                    self.stats
+                        .apply_worker_pooled(&mut self.params, w, &self.peers);
+                    let inherent = self.params.inherent(w);
+                    let new = std::iter::once(&inherent).chain(self.params.dw(w));
+                    delta = delta.max(max_moved(&old, new));
                 }
             }
             debug_assert!(self.params.check_invariants());
@@ -646,40 +591,20 @@ impl OnlineModel {
         Some(report)
     }
 
-    /// Applies the task-side M-step for `t` and returns the maximum
-    /// absolute parameter change.
-    fn apply_task_tracked(&mut self, tasks: &TaskSet, t: TaskId) -> f64 {
-        let base = tasks.label_offset(t);
-        let n_labels = tasks.n_labels(t);
-        self.mstep_old.clear();
-        for k in 0..n_labels {
-            self.mstep_old.push(self.params.z_slot(base + k));
-        }
-        self.mstep_old.extend_from_slice(self.params.dt(t));
-        self.stats.apply_task(&mut self.params, tasks, t);
-        let mut delta = 0.0_f64;
-        for k in 0..n_labels {
-            delta = delta.max((self.params.z_slot(base + k) - self.mstep_old[k]).abs());
-        }
-        for (j, &old) in self.mstep_old[n_labels..].iter().enumerate() {
-            delta = delta.max((self.params.dt(t)[j] - old).abs());
-        }
-        delta
-    }
-
-    /// Applies the (peer-pooled) worker-side M-step for `w` and returns
-    /// the maximum absolute parameter change.
-    fn apply_worker_tracked(&mut self, w: WorkerId) -> f64 {
-        self.mstep_old.clear();
-        self.mstep_old.push(self.params.inherent(w));
-        self.mstep_old.extend_from_slice(self.params.dw(w));
-        self.stats
-            .apply_worker_pooled(&mut self.params, w, &self.peers);
-        let mut delta = (self.params.inherent(w) - self.mstep_old[0]).abs();
-        for (j, &old) in self.mstep_old[1..].iter().enumerate() {
-            delta = delta.max((self.params.dw(w)[j] - old).abs());
-        }
-        delta
+    /// Splits the model into the parameters an E-pass reads and the
+    /// state it writes.
+    fn pass(&mut self) -> (&ModelParams, Pass<'_>) {
+        (
+            &self.params,
+            Pass {
+                geometry: &self.geometry,
+                alpha: self.config.alpha,
+                stats: &mut self.stats,
+                contribs: &mut self.contribs,
+                terms: &mut self.terms,
+                scratch: &mut self.scratch,
+            },
+        )
     }
 
     /// One partial E-step: folds `answer`'s posterior into the statistics
@@ -698,7 +623,8 @@ impl OnlineModel {
         self.contribs.push_answer(answer.bits.len());
         self.stats
             .add_answer(answer.task, answer.worker, answer.bits.len());
-        self.accumulate_answer(i, answer, None);
+        let (params, mut pass) = self.pass();
+        pass.accumulate(params, i, answer, None);
         self.dirty.mark(answer.task, answer.worker);
         // Refresh exactly the parameters the paper's Section III-D names:
         // the submitting worker's quality and the task's results + influence.
@@ -721,90 +647,15 @@ impl OnlineModel {
         false
     }
 
-    /// Computes answer `i`'s posterior contributions under the current
-    /// parameters, adds them to the sufficient statistics and refreshes the
-    /// contribution cache. The caller is responsible for the answer *count*
-    /// bookkeeping and for subtracting any previous contribution.
-    fn accumulate_answer(
-        &mut self,
-        i: usize,
-        answer: &Answer,
-        mut log_likelihood: Option<&mut f64>,
-    ) {
-        let base = self.geometry.base(i);
-        let bit_range = self.geometry.bit_range(i);
-        self.terms.prepare(
-            self.params.dw(answer.worker),
-            self.params.dt(answer.task),
-            self.geometry.fvals(i),
-            self.config.alpha,
-        );
-        let pi1 = self.params.inherent(answer.worker);
-        self.contribs.zero_answer(i, bit_range.clone());
-        for (k, r) in answer.bits.iter().enumerate() {
-            factored_prepared(
-                &self.terms,
-                self.params.dw(answer.worker),
-                self.params.dt(answer.task),
-                self.params.z_slot(base + k),
-                pi1,
-                r,
-                &mut self.scratch,
-            );
-            if let Some(llh) = log_likelihood.as_deref_mut() {
-                *llh += self.scratch.likelihood.max(prob::EPS).ln();
-            }
-            self.stats
-                .add_label_bit(base + k, answer.task, answer.worker, &self.scratch);
-            self.contribs
-                .record_bit(i, bit_range.start + k, &self.scratch);
-        }
-    }
-
-    /// [`OnlineModel::accumulate_answer`] fed from a precomputed posterior
-    /// buffer (`answer.bits.len() * stride` slots laid out as in
-    /// [`posterior_stride`]) instead of evaluating the posteriors in place.
-    /// The accumulation arithmetic — operands and order — is identical, so
-    /// the two paths produce bit-identical statistics.
-    fn accumulate_answer_from_buf(
-        &mut self,
-        i: usize,
-        answer: &Answer,
-        span: &[f64],
-        mut log_likelihood: Option<&mut f64>,
-    ) {
-        let n_funcs = self.config.fset.len();
-        let stride = posterior_stride(n_funcs);
-        let base = self.geometry.base(i);
-        let bit_range = self.geometry.bit_range(i);
-        self.contribs.zero_answer(i, bit_range.clone());
-        for k in 0..answer.bits.len() {
-            let slot = &span[k * stride..(k + 1) * stride];
-            self.scratch.z1 = slot[0];
-            self.scratch.i1 = slot[1];
-            if let Some(llh) = log_likelihood.as_deref_mut() {
-                *llh += slot[2];
-            }
-            self.scratch.dw.copy_from_slice(&slot[3..3 + n_funcs]);
-            self.scratch
-                .dt
-                .copy_from_slice(&slot[3 + n_funcs..3 + 2 * n_funcs]);
-            self.stats
-                .add_label_bit(base + k, answer.task, answer.worker, &self.scratch);
-            self.contribs
-                .record_bit(i, bit_range.start + k, &self.scratch);
-        }
-    }
-
     /// Restores the estimator to the deterministic state it holds
-    /// immediately after a **full-sweep** rebuild that converged on
-    /// `params` over exactly the answers currently in `log`, with `peers`
+    /// immediately after a **full-sweep** rebuild that ended on `params`
+    /// (converged or not) over exactly the answers currently in `log`, with `peers`
     /// as the folded peer table at that moment.
     ///
     /// Right after a full sweep the entire mutable state is a pure
     /// function of `(params, log, peers)`: the sufficient statistics and
     /// the per-answer contribution cache are what one E-pass under the
-    /// converged parameters accumulates (the same [`rebuild_stats`] pass a
+    /// final parameters accumulates (the same [`rebuild_stats`] pass a
     /// live full sweep runs), the dirty set is clear, and the absorb /
     /// run counters are zero. Snapshot restore exploits this to *harden
     /// from parameters*: instead of replaying the whole answer log through
@@ -928,6 +779,68 @@ impl OnlineModel {
             self.full_em(tasks, log);
         }
     }
+}
+
+/// The state one E-pass writes — sufficient statistics, the contribution
+/// cache and the posterior scratch — borrowed apart from the parameters
+/// it reads.
+struct Pass<'a> {
+    geometry: &'a AnswerGeometry,
+    alpha: f64,
+    stats: &'a mut SufficientStats,
+    contribs: &'a mut StatContribs,
+    terms: &'a mut AnswerTerms,
+    scratch: &'a mut Posterior,
+}
+
+impl Pass<'_> {
+    /// Computes answer `i`'s posterior contributions under `params`, adds
+    /// them to the sufficient statistics and refreshes the contribution
+    /// cache, adding the answer's log-likelihood to `log_likelihood` when
+    /// given. The caller is responsible for the answer *count* bookkeeping
+    /// and for subtracting any previous contribution.
+    fn accumulate(
+        &mut self,
+        params: &ModelParams,
+        i: usize,
+        answer: &Answer,
+        mut log_likelihood: Option<&mut f64>,
+    ) {
+        let base = self.geometry.base(i);
+        let bit_range = self.geometry.bit_range(i);
+        let pdw = params.dw(answer.worker);
+        let pdt = params.dt(answer.task);
+        self.terms
+            .prepare(pdw, pdt, self.geometry.fvals(i), self.alpha);
+        let pi1 = params.inherent(answer.worker);
+        self.contribs.zero_answer(i, bit_range.clone());
+        for (k, r) in answer.bits.iter().enumerate() {
+            factored_prepared(
+                self.terms,
+                pdw,
+                pdt,
+                params.z_slot(base + k),
+                pi1,
+                r,
+                self.scratch,
+            );
+            if let Some(llh) = log_likelihood.as_deref_mut() {
+                *llh += self.scratch.likelihood.max(prob::EPS).ln();
+            }
+            self.stats
+                .add_label_bit(base + k, answer.task, answer.worker, self.scratch);
+            self.contribs
+                .record_bit(i, bit_range.start + k, self.scratch);
+        }
+    }
+}
+
+/// The largest absolute change between `old` and `new`, entry by entry.
+fn max_moved<'a>(old: &[f64], new: impl Iterator<Item = &'a f64>) -> f64 {
+    old.iter()
+        .zip(new)
+        .map(|(a, b)| (a - b).abs())
+        .fold(0.0, f64::max)
 }
 
 #[cfg(test)]
@@ -1244,7 +1157,6 @@ mod tests {
             full_em_every: None,
             full_sweep_every: 16,
             dirty_coverage_fallback: 50,
-            ..UpdatePolicy::default()
         };
         let empty = AnswerLog::new(log.n_tasks(), log.n_workers());
         let mut base = OnlineModel::new(&tasks, &empty, EmConfig::default(), policy);

@@ -10,9 +10,11 @@
 //!   distance-function values and label-slot layout built once at submit
 //!   time and shared by every inference path;
 //! * [`em`] — batch EM (Equation 14) with convergence diagnostics, in a
-//!   geometry-cached fast path and a naive reference path;
+//!   geometry-cached fast path and a naive reference path, both iterated
+//!   by one SQUAREM-accelerated loop;
 //! * [`incremental`] — the online estimator: per-answer incremental EM plus
-//!   the delayed rebuild of Section III-D (full-sweep or dirty-set);
+//!   the delayed rebuild of Section III-D (a SQUAREM full sweep or a plain
+//!   dirty-set sweep);
 //! * [`gossip`] — the mergeable, versioned worker-statistic deltas that
 //!   sharded deployments exchange so every instance estimates worker
 //!   quality from the pooled answer set.
@@ -25,9 +27,8 @@ pub mod params;
 pub mod posterior;
 
 pub use em::{
-    run_em, run_em_from, run_em_from_naive, run_em_geometry, run_em_geometry_pooled,
-    run_em_geometry_pooled_threads, run_em_geometry_threads, run_em_naive, EmConfig, EmParallelism,
-    EmReport, FvalTable, SufficientStats,
+    em_step, run_em, run_em_from, run_em_from_naive, run_em_geometry, run_em_geometry_pooled,
+    run_em_naive, EmConfig, EmReport, FvalTable, SufficientStats,
 };
 pub use geometry::AnswerGeometry;
 pub use gossip::{PeerStats, WorkerStatDelta};

@@ -15,17 +15,18 @@
 use std::sync::Arc;
 use std::time::Duration;
 
+use crate::EmReport;
+
 /// A sink for timing events produced inside the core framework.
 ///
 /// Implementations must be cheap and non-blocking — these methods are
 /// called from the EM and assignment hot paths.
 pub trait Recorder: Send + Sync {
-    /// An EM rebuild finished. `full_sweep` distinguishes an
-    /// unconditional full sweep from a dirty (incremental) sweep;
-    /// `answers_swept` is how many answers the sweep visited; `threads`
-    /// is the effective E-step thread count the sweep ran with (1 = the
-    /// sequential path).
-    fn em_rebuild(&self, took: Duration, full_sweep: bool, answers_swept: usize, threads: usize);
+    /// An EM rebuild finished in `took`. The report says which sweep
+    /// kind ran (`full_sweep`), how many answers it visited, how many
+    /// iterations it took, whether it `converged` before the iteration
+    /// cap, and the final residual (the last `max_delta_history` entry).
+    fn em_rebuild(&self, took: Duration, report: &EmReport);
 
     /// One assignment round finished: the assigner produced `pairs`
     /// worker–task pairs in `took`.
@@ -74,15 +75,9 @@ impl RecorderHandle {
     }
 
     /// Forwards an EM rebuild event, if a recorder is attached.
-    pub fn em_rebuild(
-        &self,
-        took: Duration,
-        full_sweep: bool,
-        answers_swept: usize,
-        threads: usize,
-    ) {
+    pub fn em_rebuild(&self, took: Duration, report: &EmReport) {
         if let Some(r) = &self.0 {
-            r.em_rebuild(took, full_sweep, answers_swept, threads);
+            r.em_rebuild(took, report);
         }
     }
 
@@ -105,14 +100,8 @@ mod tests {
     }
 
     impl Recorder for Counting {
-        fn em_rebuild(
-            &self,
-            _took: Duration,
-            _full_sweep: bool,
-            _answers_swept: usize,
-            _threads: usize,
-        ) {
-            self.em.fetch_add(1, Ordering::Relaxed);
+        fn em_rebuild(&self, _took: Duration, report: &EmReport) {
+            self.em.fetch_add(report.iterations, Ordering::Relaxed);
         }
 
         fn assignment(&self, _took: Duration, _pairs: usize) {
@@ -124,7 +113,15 @@ mod tests {
     fn handle_forwards_when_attached_and_noops_when_not() {
         let none = RecorderHandle::default();
         assert!(!none.is_enabled());
-        none.em_rebuild(Duration::ZERO, true, 0, 1); // no-op, no panic
+        let report = EmReport {
+            iterations: 3,
+            converged: false,
+            full_sweep: false,
+            answers_swept: 7,
+            max_delta_history: vec![0.3, 0.2, 0.1],
+            log_likelihood_history: vec![-3.0, -2.0, -1.0],
+        };
+        none.em_rebuild(Duration::ZERO, &report); // no-op, no panic
 
         let sink = Arc::new(Counting {
             em: AtomicUsize::new(0),
@@ -133,9 +130,13 @@ mod tests {
         let handle = RecorderHandle::new(sink.clone());
         assert!(handle.is_enabled());
         let clone = handle.clone();
-        handle.em_rebuild(Duration::from_millis(1), false, 7, 2);
+        handle.em_rebuild(Duration::from_millis(1), &report);
         clone.assignment(Duration::from_millis(2), 3);
-        assert_eq!(sink.em.load(Ordering::Relaxed), 1);
+        assert_eq!(
+            sink.em.load(Ordering::Relaxed),
+            3,
+            "the report is forwarded"
+        );
         assert_eq!(sink.assign.load(Ordering::Relaxed), 1);
         assert_eq!(format!("{handle:?}"), "RecorderHandle(\"attached\")");
     }

@@ -1,8 +1,12 @@
 //! Property-based tests over the core model invariants:
 //! distance functions, E-step posteriors, M-step simplexes, the Lemma 1/2
-//! accuracy recursion, and the equivalence of the two greedy inner loops.
+//! accuracy recursion, the equivalence of the two greedy inner loops, and
+//! the equivalence of the cached (fvals-memo) accuracy and ACCOPT scoring
+//! paths with re-evaluation.
 
-use crowd_core::accuracy::{expected_accuracy_brute, GainSemantics, LabelAccuracy};
+use crowd_core::accuracy::{
+    expected_accuracy_brute, AccuracyEstimator, GainSemantics, LabelAccuracy,
+};
 use crowd_core::model::{factored, naive, run_em, EmConfig, Posterior, PosteriorInputs};
 use crowd_core::{
     synthetic_task, AccOptAssigner, Answer, AnswerLog, AssignContext, Assigner, BellShaped,
@@ -240,7 +244,6 @@ proptest! {
             alpha: 0.5,
             distances: &distances,
             reserved: &reserved,
-            threads: 1,
         };
         let batch: Vec<WorkerId> = workers.ids().collect();
         for gain in [GainSemantics::Marginal, GainSemantics::TotalSet] {
@@ -253,6 +256,68 @@ proptest! {
             let a = scan.assign(&ctx, &batch, h);
             let b = heap.assign(&ctx, &batch, h);
             prop_assert_eq!(a, b);
+        }
+    }
+
+    /// The cached-fvals accuracy estimator equals the re-evaluating one
+    /// bit for bit on arbitrary distances.
+    #[test]
+    fn accuracy_from_cached_values_matches_reevaluation(
+        n_tasks in 1usize..6,
+        n_workers in 1usize..5,
+        d in 0.0f64..3.0,
+        answers in prop::collection::vec(
+            (0u32..8, 0u32..12, 0u16..u16::MAX, 0.0f64..1.0),
+            1..30,
+        ),
+    ) {
+        let (tasks, _, log, params, _) = build_world(n_tasks, n_workers, 4, &answers);
+        let fset = DistanceFunctionSet::paper_default();
+        let estimator = AccuracyEstimator::new(&params, &fset, &log, 0.5);
+        let fvals = fset.values(d);
+        for w in 0..n_workers as u32 {
+            for t in tasks.ids() {
+                let task = tasks.get(t).expect("id from the set");
+                let direct = estimator.answer_accuracy(WorkerId(w), task, d);
+                let cached = estimator.answer_accuracy_from_values(WorkerId(w), task, &fvals);
+                prop_assert_eq!(direct.to_bits(), cached.to_bits());
+            }
+        }
+    }
+
+    /// ACCOPT with the cross-round fvals memo picks the identical
+    /// assignment whatever the memo holds: a cold memo, a warm memo and a
+    /// fresh assigner all agree.
+    #[test]
+    fn accopt_assignment_is_identical_across_memo_state(
+        n_tasks in 2usize..10,
+        n_workers in 1usize..6,
+        h in 1usize..4,
+        answers in prop::collection::vec(
+            (0u32..8, 0u32..12, 0u16..u16::MAX, 0.0f64..1.0),
+            0..24,
+        ),
+    ) {
+        let (tasks, workers, log, params, distances) =
+            build_world(n_tasks, n_workers, 4, &answers);
+        let fset = DistanceFunctionSet::paper_default();
+        let reserved = ReservationSet::new();
+        let ctx = AssignContext {
+            tasks: &tasks,
+            workers: &workers,
+            log: &log,
+            params: &params,
+            fset: &fset,
+            alpha: 0.5,
+            distances: &distances,
+            reserved: &reserved,
+        };
+        let batch: Vec<WorkerId> = workers.ids().collect();
+        let expected = AccOptAssigner::new().assign(&ctx, &batch, h);
+        let mut reused = AccOptAssigner::new();
+        for round in 0..3 {
+            let got = reused.assign(&ctx, &batch, h);
+            prop_assert_eq!(&got, &expected, "round {} diverged", round);
         }
     }
 
@@ -279,7 +344,6 @@ proptest! {
             alpha: 0.5,
             distances: &distances,
             reserved: &reserved,
-            threads: 1,
         };
         let batch: Vec<WorkerId> = workers.ids().collect();
         let mut assigner = AccOptAssigner::new();

@@ -9,8 +9,10 @@
 //! 4. **Fold-then-EM ≡ pooled EM** — a distributed EM where each of `k`
 //!    shards sweeps only its own answers but pools worker statistics
 //!    through the gossip deltas every iteration reproduces a single
-//!    framework's EM over the union of the answers within `1e-9` (the
-//!    only divergence is floating-point summation order).
+//!    framework's plain EM map ([`em_step`]) over the union of the
+//!    answers within `1e-9` (the only divergence is floating-point
+//!    summation order). Pooling is a property of that map; the SQUAREM
+//!    loop that accelerates production runs iterates the same map.
 //!
 //! Properties 1–3 are what make the exchange layer trivially correct:
 //! deltas may be duplicated, reordered or redelivered without corrupting
@@ -19,8 +21,8 @@
 //! arithmetic* a single instance holding all answers would perform.
 
 use crowd_core::model::{
-    factored, run_em, EmConfig, InitStrategy, ModelParams, PeerStats, Posterior, PosteriorInputs,
-    SufficientStats, WorkerStatDelta,
+    em_step, factored, AnswerGeometry, EmConfig, InitStrategy, ModelParams, PeerStats, Posterior,
+    PosteriorInputs, SufficientStats, WorkerStatDelta,
 };
 use crowd_core::{synthetic_task, Answer, AnswerLog, LabelBits, TaskId, TaskSet, WorkerId};
 use crowd_geo::Point;
@@ -194,9 +196,9 @@ proptest! {
 
     /// Law 4: splitting a log across `k` shards by task, sweeping each
     /// shard's answers locally and pooling the worker statistics through
-    /// the gossip deltas every iteration reproduces the single-framework
-    /// EM over the pooled log within 1e-9 — task parameters on the owning
-    /// shard, worker parameters everywhere.
+    /// the gossip deltas every iteration reproduces `iterations` plain EM
+    /// steps of a single framework over the pooled log within 1e-9 — task
+    /// parameters on the owning shard, worker parameters everywhere.
     #[test]
     fn fold_then_em_matches_pooled_single_framework_em(
         n_tasks in 2usize..7,
@@ -210,17 +212,18 @@ proptest! {
     ) {
         let (tasks, log) = build_world(n_tasks, n_workers, &raw);
         let config = EmConfig {
-            // A negative tolerance never converges early: both sides run
-            // exactly `iterations` iterations so they stay comparable.
-            tolerance: -1.0,
-            max_iterations: iterations,
             init: InitStrategy::Uniform,
             ..EmConfig::default()
         };
         let n_funcs = config.fset.len();
 
-        // ── The pooled reference: one framework over the union ──────────
-        let (pooled, _) = run_em(&tasks, &log, &config);
+        // ── The pooled reference: the plain map over the union ──────────
+        let geometry = AnswerGeometry::build(&tasks, &log, &config.fset);
+        let mut pooled =
+            ModelParams::init(&tasks, n_workers, n_funcs, InitStrategy::Uniform, &log);
+        for _ in 0..iterations {
+            em_step(&tasks, &log, &geometry, &config, &mut pooled, &PeerStats::new());
+        }
 
         // ── The distributed run: shards own disjoint task ranges ────────
         let owner = |t: TaskId| t.index() % k;

@@ -4,6 +4,13 @@
 //!
 //! Expected shape: rapid decay; the paper converges below 0.005 within
 //! 12–23 iterations.
+//!
+//! The curve is SQUAREM-accelerated: `run_em` iterates the plain map
+//! through the SqS3 loop, so each point is one E-step — a plain step or
+//! the stabilising step after an extrapolation jump — and the series is
+//! not monotone (the step after a jump can move the parameters more than
+//! the plain step before it). Convergence is still read off a plain-step
+//! residual.
 
 use crowd_core::model::{run_em, EmConfig};
 

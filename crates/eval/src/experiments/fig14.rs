@@ -95,7 +95,6 @@ impl Scenario {
             alpha: 0.5,
             distances: &self.distances,
             reserved: &self.reserved,
-            threads: 1,
         }
     }
 

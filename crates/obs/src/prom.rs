@@ -74,14 +74,31 @@ impl PromText {
     /// lines over the non-empty buckets, a terminal `le="+Inf"`, then
     /// `_sum` and `_count`. Empty histograms still render (with a lone
     /// `+Inf` bucket), so the metric set is stable from startup.
-    #[allow(clippy::cast_precision_loss)]
     pub fn histogram_ns(&mut self, name: &str, help: &str, labels: &[(&str, &str)], h: &Histogram) {
+        self.histogram_scaled(name, help, labels, h, NS_PER_SEC);
+    }
+
+    /// [`PromText::histogram_ns`] for a histogram of plain counts (for
+    /// example EM iterations per rebuild), exposed unscaled.
+    pub fn histogram(&mut self, name: &str, help: &str, labels: &[(&str, &str)], h: &Histogram) {
+        self.histogram_scaled(name, help, labels, h, 1.0);
+    }
+
+    #[allow(clippy::cast_precision_loss)]
+    fn histogram_scaled(
+        &mut self,
+        name: &str,
+        help: &str,
+        labels: &[(&str, &str)],
+        h: &Histogram,
+        unit: f64,
+    ) {
         self.declare(name, "histogram", help);
         let base = render_labels(labels);
         let mut cum = 0u64;
-        for (upper_ns, count) in h.nonzero_buckets() {
+        for (upper, count) in h.nonzero_buckets() {
             cum += count;
-            let le = upper_ns as f64 / NS_PER_SEC;
+            let le = upper as f64 / unit;
             let mut with_le: Vec<(&str, &str)> = labels.to_vec();
             let le_text = format!("{le}");
             with_le.push(("le", &le_text));
@@ -95,7 +112,7 @@ impl PromText {
             render_labels(&with_inf),
             h.count()
         );
-        let _ = writeln!(self.out, "{name}_sum{base} {}", h.sum() as f64 / NS_PER_SEC);
+        let _ = writeln!(self.out, "{name}_sum{base} {}", h.sum() as f64 / unit);
         let _ = writeln!(self.out, "{name}_count{base} {}", h.count());
     }
 

@@ -450,16 +450,19 @@ fn worker_stats(state: &ServerState, req: &Request, id: &str) -> Response {
     }
 }
 
-/// A histogram's summary as JSON (nanosecond percentiles, bucket upper
-/// bounds — see `docs/OBSERVABILITY.md` for the bucket scheme).
-fn summary_json(h: &Histogram) -> Json {
+/// A histogram's summary as JSON: count plus bucket-upper-bound
+/// percentiles and max, keyed with `unit` appended (`"_ns"` for
+/// durations, `""` for plain counts) — see `docs/OBSERVABILITY.md` for
+/// the bucket scheme.
+fn summary_json(h: &Histogram, unit: &str) -> Json {
     let s = h.summary();
+    let [p50, p90, p99, max] = ["p50", "p90", "p99", "max"].map(|k| format!("{k}{unit}"));
     obj(vec![
         ("count", num64(s.count)),
-        ("p50_ns", num64(s.p50)),
-        ("p90_ns", num64(s.p90)),
-        ("p99_ns", num64(s.p99)),
-        ("max_ns", num64(s.max)),
+        (&p50, num64(s.p50)),
+        (&p90, num64(s.p90)),
+        (&p99, num64(s.p99)),
+        (&max, num64(s.max)),
     ])
 }
 
@@ -483,7 +486,6 @@ fn metrics_json(state: &ServerState, hub: &ObsHub, m: &ServiceMetrics) -> Json {
                 ("events_len", num64(s.events_len)),
                 ("queue_depth", num(s.queue_depth)),
                 ("queue_hwm", num64(s.queue_hwm)),
-                ("em_threads", num64(s.em_threads)),
                 ("resident_answers", num64(s.resident_answers)),
                 ("pruned_answers", num64(s.pruned_answers)),
             ])
@@ -502,14 +504,29 @@ fn metrics_json(state: &ServerState, hub: &ObsHub, m: &ServiceMetrics) -> Json {
         (
             "latency",
             obj(vec![
-                ("queue_wait", summary_json(&hub.queue_wait)),
-                ("apply", summary_json(&hub.apply)),
-                ("em_full", summary_json(&hub.em_full)),
-                ("em_dirty", summary_json(&hub.em_dirty)),
-                ("assign", summary_json(&hub.assign)),
-                ("gossip_round", summary_json(&hub.gossip_round)),
-                ("snapshot", summary_json(&hub.snapshot)),
-                ("restore", summary_json(&hub.restore)),
+                ("queue_wait", summary_json(&hub.queue_wait, "_ns")),
+                ("apply", summary_json(&hub.apply, "_ns")),
+                ("em_full", summary_json(&hub.em_full, "_ns")),
+                ("em_dirty", summary_json(&hub.em_dirty, "_ns")),
+                ("assign", summary_json(&hub.assign, "_ns")),
+                ("gossip_round", summary_json(&hub.gossip_round, "_ns")),
+                ("snapshot", summary_json(&hub.snapshot, "_ns")),
+                ("restore", summary_json(&hub.restore, "_ns")),
+            ]),
+        ),
+        (
+            "em",
+            obj(vec![
+                ("iterations_full", summary_json(&hub.em_full_iterations, "")),
+                (
+                    "iterations_dirty",
+                    summary_json(&hub.em_dirty_iterations, ""),
+                ),
+                (
+                    "unconverged",
+                    num64(hub.em_unconverged.load(Ordering::Relaxed)),
+                ),
+                ("last_delta", Json::Num(hub.em_last_delta())),
             ]),
         ),
         (
@@ -612,21 +629,34 @@ fn metrics_prometheus(state: &ServerState, hub: &ObsHub, m: &ServiceMetrics) -> 
         &[],
         &hub.apply,
     );
-    // The `threads` label reports the E-step thread count of the most
-    // recent rebuild (1 = sequential); parallel EM is bit-identical, so
-    // the label only partitions *durations*, never results.
-    let em_threads = hub.em_threads.load(Ordering::Relaxed).to_string();
-    out.histogram_ns(
-        "crowd_em_rebuild_seconds",
-        "EM rebuild duration by sweep kind",
-        &[("sweep", "full"), ("threads", &em_threads)],
-        &hub.em_full,
+    for (sweep, latency, iterations) in [
+        ("full", &hub.em_full, &hub.em_full_iterations),
+        ("dirty", &hub.em_dirty, &hub.em_dirty_iterations),
+    ] {
+        out.histogram_ns(
+            "crowd_em_rebuild_seconds",
+            "EM rebuild duration by sweep kind",
+            &[("sweep", sweep)],
+            latency,
+        );
+        out.histogram(
+            "crowd_em_iterations",
+            "EM iterations (E-steps) per rebuild by sweep kind",
+            &[("sweep", sweep)],
+            iterations,
+        );
+    }
+    out.counter(
+        "crowd_em_unconverged_total",
+        "EM rebuilds that hit the iteration cap before the tolerance",
+        &[],
+        hub.em_unconverged.load(Ordering::Relaxed),
     );
-    out.histogram_ns(
-        "crowd_em_rebuild_seconds",
-        "EM rebuild duration by sweep kind",
-        &[("sweep", "dirty"), ("threads", &em_threads)],
-        &hub.em_dirty,
+    out.gauge(
+        "crowd_em_last_delta",
+        "Final residual (max parameter change) of the most recent EM rebuild",
+        &[],
+        hub.em_last_delta(),
     );
     out.histogram_ns(
         "crowd_assign_seconds",
@@ -728,12 +758,6 @@ fn metrics_prometheus(state: &ServerState, hub: &ObsHub, m: &ServiceMetrics) -> 
             "Versions behind the freshest published peer delta",
             l,
             s.gossip_lag as f64,
-        );
-        out.gauge(
-            "crowd_shard_em_threads",
-            "Resolved E-step thread count for this shard's EM sweeps (1 = sequential)",
-            l,
-            s.em_threads as f64,
         );
         out.gauge(
             "crowd_shard_resident_answers",

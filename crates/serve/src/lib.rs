@@ -71,7 +71,8 @@
 //!   numbers serialise to JSON with every gossip payload stored once in
 //!   a `(source, version)`-deduplicated table.
 //!   [`LabellingService::restore`] *hardens from parameters* — bulk-load
-//!   the pre-checkpoint log, re-seed the converged parameters, replay
+//!   the pre-checkpoint log, re-seed the checkpoint's full-sweep
+//!   parameters (converged or stopped at the iteration cap), replay
 //!   only the suffix — while [`LabellingService::restore_replay`] keeps
 //!   the full event-stream replay as the verification path and
 //!   [`LabellingService::restore_verified`] proves the two bit-identical.

@@ -48,10 +48,6 @@ pub struct ShardMetrics {
     /// freely and each still sees the full window. Only the explicit
     /// taker starts a new window.
     queue_hwm: AtomicU64,
-    /// Resolved E-step thread count this shard's model sweeps with
-    /// (`UpdatePolicy::parallelism` resolved at service start; 1 =
-    /// sequential). Exposed as the `crowd_shard_em_threads` gauge.
-    em_threads: AtomicU64,
     /// Answers currently held in RAM by this shard's answer log (the
     /// post-checkpoint suffix under a pruning retention policy, the whole
     /// campaign otherwise). Exposed as `crowd_shard_resident_answers`.
@@ -70,14 +66,7 @@ impl ShardMetrics {
         let m = Self::default();
         m.budget_remaining.store(budget as u64, Ordering::Relaxed);
         m.budget_slice.store(budget as u64, Ordering::Relaxed);
-        m.em_threads.store(1, Ordering::Relaxed);
         m
-    }
-
-    /// Refreshes the resolved E-step thread-count gauge (set once at
-    /// service start from the configured parallelism knob).
-    pub fn set_em_threads(&self, threads: u64) {
-        self.em_threads.store(threads.max(1), Ordering::Relaxed);
     }
 
     /// Records an accepted answer and whether it triggered a delayed full
@@ -233,7 +222,6 @@ impl ShardMetrics {
             gossip_lag: submits.saturating_sub(self.last_gossip_at.load(Ordering::Relaxed)),
             events_len: self.events_len.load(Ordering::Relaxed),
             queue_depth,
-            em_threads: self.em_threads.load(Ordering::Relaxed),
             resident_answers: self.resident_answers.load(Ordering::Relaxed),
             pruned_answers: self.pruned_answers.load(Ordering::Relaxed),
         }
@@ -280,9 +268,6 @@ pub struct ShardMetricsSnapshot {
     /// (snapshots never reset it; only
     /// [`ShardMetrics::take_queue_hwm`] closes a window).
     pub queue_hwm: u64,
-    /// Resolved E-step thread count the shard's model sweeps with (1 =
-    /// sequential).
-    pub em_threads: u64,
     /// Answers currently resident in RAM on this shard (the
     /// post-checkpoint suffix when checkpoint pruning is on).
     pub resident_answers: u64,
@@ -380,11 +365,6 @@ mod tests {
         assert_eq!(m.events_len(), 4);
         assert_eq!(s.queue_depth, 2);
         assert_eq!(s.queue_hwm, 7);
-        assert_eq!(s.em_threads, 1);
-        m.set_em_threads(4);
-        assert_eq!(m.snapshot(3, 0).em_threads, 4);
-        m.set_em_threads(0); // the gauge floors at 1 (sequential)
-        assert_eq!(m.snapshot(3, 0).em_threads, 1);
         assert_eq!(m.budget_remaining(), 6);
         // Lag grows with submits applied after the round.
         m.record_submit(false);

@@ -3,8 +3,10 @@
 //!
 //! Every [`LabellingService`](crate::LabellingService) owns one hub. The
 //! drain threads record shard queue-wait and per-answer apply time into
-//! its histograms; the core recorder bridge feeds EM-rebuild (split
-//! dirty vs full sweep) and assignment timings; the snapshot paths
+//! its histograms; the core recorder bridge feeds EM-rebuild timings and
+//! iteration counts (split dirty vs full sweep), the unconverged-rebuild
+//! counter and the last-residual gauge, and assignment timings; the
+//! snapshot paths
 //! record capture/restore durations; a periodic self-sampler thread
 //! appends queue-depth and event-log-length gauges. The trace ring
 //! follows individual labelling requests across threads (see
@@ -18,7 +20,7 @@ use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 use std::time::Duration;
 
-use crowd_core::Recorder;
+use crowd_core::{EmReport, Recorder};
 use crowd_obs::{GaugeSeries, Histogram, TraceBuf};
 
 /// Buffered trace events before the ring drops the oldest.
@@ -55,10 +57,17 @@ pub struct ObsHub {
     pub queue_depth_series: GaugeSeries,
     /// Self-sampled total recorded-event-log length over time.
     pub events_len_series: GaugeSeries,
-    /// Effective E-step thread count of the most recent EM rebuild (1 =
-    /// sequential; exposed as the `crowd_shard_em_threads` gauge and as
-    /// the `threads` label on the EM histograms).
-    pub em_threads: AtomicU64,
+    /// EM iterations (E-steps) per full-sweep rebuild.
+    pub em_full_iterations: Histogram,
+    /// EM iterations (E-steps) per dirty-set rebuild.
+    pub em_dirty_iterations: Histogram,
+    /// Rebuilds that stopped at `EmConfig::max_iterations` without
+    /// reaching the tolerance.
+    pub em_unconverged: AtomicU64,
+    /// Final residual `‖F(x) − x‖∞` of the most recent rebuild that ran
+    /// at least one iteration, as `f64` bits (read it with
+    /// [`ObsHub::em_last_delta`]).
+    pub em_last_delta_bits: AtomicU64,
 }
 
 impl ObsHub {
@@ -77,8 +86,17 @@ impl ObsHub {
             trace: TraceBuf::new(TRACE_CAP),
             queue_depth_series: GaugeSeries::new(SERIES_CAP),
             events_len_series: GaugeSeries::new(SERIES_CAP),
-            em_threads: AtomicU64::new(1),
+            em_full_iterations: Histogram::new(),
+            em_dirty_iterations: Histogram::new(),
+            em_unconverged: AtomicU64::new(0),
+            em_last_delta_bits: AtomicU64::new(0),
         }
+    }
+
+    /// Final residual of the most recent EM rebuild (0 before any).
+    #[must_use]
+    pub fn em_last_delta(&self) -> f64 {
+        f64::from_bits(self.em_last_delta_bits.load(Ordering::Relaxed))
     }
 }
 
@@ -105,12 +123,21 @@ impl CoreRecorder {
 }
 
 impl Recorder for CoreRecorder {
-    fn em_rebuild(&self, took: Duration, full_sweep: bool, _answers_swept: usize, threads: usize) {
-        self.hub.em_threads.store(threads as u64, Ordering::Relaxed);
-        if full_sweep {
-            self.hub.em_full.record_duration(took);
+    fn em_rebuild(&self, took: Duration, report: &EmReport) {
+        let hub = &self.hub;
+        let (latency, iterations) = if report.full_sweep {
+            (&hub.em_full, &hub.em_full_iterations)
         } else {
-            self.hub.em_dirty.record_duration(took);
+            (&hub.em_dirty, &hub.em_dirty_iterations)
+        };
+        latency.record_duration(took);
+        iterations.record(report.iterations as u64);
+        if !report.converged {
+            hub.em_unconverged.fetch_add(1, Ordering::Relaxed);
+        }
+        if let Some(delta) = report.max_delta_history.last() {
+            hub.em_last_delta_bits
+                .store(delta.to_bits(), Ordering::Relaxed);
         }
     }
 
@@ -127,14 +154,25 @@ mod tests {
     fn core_recorder_splits_em_by_sweep_kind() {
         let hub = Arc::new(ObsHub::new());
         let rec = CoreRecorder::new(Arc::clone(&hub));
-        rec.em_rebuild(Duration::from_micros(5), true, 100, 4);
-        rec.em_rebuild(Duration::from_micros(2), false, 10, 1);
-        rec.em_rebuild(Duration::from_micros(3), false, 12, 1);
+        let report = |full_sweep, iterations, converged, last| EmReport {
+            iterations,
+            converged,
+            full_sweep,
+            answers_swept: 10,
+            max_delta_history: vec![last; iterations],
+            log_likelihood_history: vec![-1.0; iterations],
+        };
+        rec.em_rebuild(Duration::from_micros(5), &report(true, 100, false, 0.02));
+        rec.em_rebuild(Duration::from_micros(2), &report(false, 7, true, 0.004));
+        rec.em_rebuild(Duration::from_micros(3), &report(false, 9, true, 0.001));
         rec.assignment(Duration::from_micros(1), 4);
         assert_eq!(hub.em_full.count(), 1);
         assert_eq!(hub.em_dirty.count(), 2);
         assert_eq!(hub.assign.count(), 1);
         assert_eq!(hub.em_full.sum(), 5_000);
-        assert_eq!(hub.em_threads.load(Ordering::Relaxed), 1);
+        assert_eq!(hub.em_full_iterations.sum(), 100);
+        assert_eq!(hub.em_dirty_iterations.sum(), 16);
+        assert_eq!(hub.em_unconverged.load(Ordering::Relaxed), 1);
+        assert_eq!(hub.em_last_delta(), 0.001);
     }
 }

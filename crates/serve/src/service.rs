@@ -1295,13 +1295,6 @@ impl CampaignPool {
             .iter()
             .map(|&b| ShardMetrics::with_budget(b))
             .collect();
-        // Every shard's model sweeps with the same resolved thread count;
-        // seed the gauge once so /metrics reports it before the first
-        // rebuild fires.
-        let em_threads = config.policy.parallelism.resolve() as u64;
-        for m in &metrics {
-            m.set_em_threads(em_threads);
-        }
         let worker_home: Vec<usize> = workers
             .iter()
             .map(|w| map.shard_for_point(w.locations[0]))

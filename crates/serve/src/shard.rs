@@ -92,7 +92,9 @@ pub struct ModelCheckpoint {
     /// from the checkpoint skips exactly `gossip_events[..events_applied]`
     /// (their effects are already inside `params`).
     pub events_applied: usize,
-    /// The converged parameters the sweep produced.
+    /// The parameters the sweep produced: converged, or where it stopped
+    /// when it hit `EmConfig::max_iterations` first. Restore does not
+    /// care which — it replays from these exact values either way.
     pub params: ModelParams,
 }
 
@@ -462,7 +464,7 @@ impl Shard {
         let local = self.local_of(task).ok_or(CoreError::UnknownTask(task))?;
         let triggered = self.framework.submit(worker, local, bits)?;
         // A delayed rebuild that ran as (or fell back to) a full sweep is a
-        // compaction point: capture the converged parameters.
+        // compaction point: capture the parameters it produced.
         if triggered
             && self
                 .framework

@@ -62,9 +62,8 @@
 use std::collections::BTreeMap;
 
 use crowd_core::{
-    CoreError, DistanceFunctionSet, EmConfig, EmParallelism, InitStrategy, LabelBits, ModelParams,
-    PeerStats, SufficientStats, TaskId, TaskSet, UpdatePolicy, Worker, WorkerId, WorkerPool,
-    WorkerStatDelta,
+    CoreError, DistanceFunctionSet, EmConfig, InitStrategy, LabelBits, ModelParams, PeerStats,
+    SufficientStats, TaskId, TaskSet, UpdatePolicy, Worker, WorkerId, WorkerPool, WorkerStatDelta,
 };
 use crowd_geo::Point;
 
@@ -941,13 +940,6 @@ fn config_to_json(config: &ServeConfig) -> Json {
             Json::Num(config.policy.dirty_coverage_fallback as f64),
         ),
         (
-            "em_threads".into(),
-            match config.policy.parallelism {
-                EmParallelism::Auto => Json::Str("auto".into()),
-                EmParallelism::Fixed(n) => Json::Num(n as f64),
-            },
-        ),
-        (
             "gossip_every".into(),
             config
                 .gossip_every
@@ -1029,17 +1021,17 @@ fn config_from_json(value: &Json) -> Result<ServeConfig, SnapshotError> {
             SnapshotError::Schema("'dirty_coverage_fallback' is not an integer".into())
         })?,
     };
-    // Absent before EM got its parallelism knob; those snapshots ran the
-    // sequential sweep, so restore them pinned to one thread rather than
-    // the auto default (parallel EM is bit-identical, but the pin keeps
-    // the restored config an exact record of what ran).
-    let parallelism = match value.get("em_threads") {
-        None => EmParallelism::Fixed(1),
-        Some(Json::Str(s)) if s == "auto" => EmParallelism::Auto,
-        Some(v) => EmParallelism::Fixed(v.as_usize().ok_or_else(|| {
-            SnapshotError::Schema("'em_threads' is not an integer or \"auto\"".into())
-        })?),
-    };
+    // Documents written while EM had a thread-count knob carry it as
+    // 'em_threads' ("auto" or an integer). The E-step is sequential now
+    // and the knob never changed a result, so the value is validated and
+    // ignored.
+    if let Some(v) = value.get("em_threads") {
+        if v.as_str() != Some("auto") && v.as_usize().is_none() {
+            return Err(SnapshotError::Schema(
+                "'em_threads' is not an integer or \"auto\"".into(),
+            ));
+        }
+    }
     // Absent in v1 (pre-gossip) documents: restore with gossip disabled,
     // exactly as the campaign was recorded.
     let gossip_every = match value.get("gossip_every") {
@@ -1080,7 +1072,6 @@ fn config_from_json(value: &Json) -> Result<ServeConfig, SnapshotError> {
             full_em_every,
             full_sweep_every,
             dirty_coverage_fallback,
-            parallelism,
         },
         gossip_every,
         obs_sample_ms,
@@ -2699,7 +2690,6 @@ mod tests {
             full_em_every: None,
             full_sweep_every: 5,
             dirty_coverage_fallback: 42,
-            parallelism: EmParallelism::Fixed(3),
         };
         let back = ServiceSnapshot::from_json(&snapshot.to_json()).unwrap();
         assert_eq!(
@@ -2709,7 +2699,6 @@ mod tests {
         assert_eq!(back.config.policy.full_em_every, None);
         assert_eq!(back.config.policy.full_sweep_every, 5);
         assert_eq!(back.config.policy.dirty_coverage_fallback, 42);
-        assert_eq!(back.config.policy.parallelism, EmParallelism::Fixed(3));
         assert_eq!(back.config.em.fset, snapshot.config.em.fset);
     }
 
@@ -2737,13 +2726,33 @@ mod tests {
     }
 
     #[test]
-    fn auto_parallelism_round_trips_as_auto() {
-        let mut snapshot = sample_snapshot();
-        snapshot.config.policy.parallelism = EmParallelism::Auto;
+    fn legacy_em_threads_is_accepted_and_ignored() {
+        // Writers no longer emit the removed thread-count knob; documents
+        // that carry it parse to the same config, and a malformed value is
+        // still a schema error.
+        let snapshot = sample_snapshot();
         let text = snapshot.to_json();
-        assert!(text.contains("\"em_threads\":\"auto\""), "{text}");
-        let back = ServiceSnapshot::from_json(&text).unwrap();
-        assert_eq!(back.config.policy.parallelism, EmParallelism::Auto);
+        assert!(!text.contains("em_threads"), "{text}");
+        let clean = ServiceSnapshot::from_json(&text).unwrap();
+        for legacy in ["\"auto\"", "2"] {
+            let with = text.replacen(
+                "\"full_sweep_every\"",
+                &format!("\"em_threads\":{legacy},\"full_sweep_every\""),
+                1,
+            );
+            assert_ne!(with, text);
+            let back = ServiceSnapshot::from_json(&with).unwrap();
+            assert_eq!(back.config.policy, clean.config.policy);
+        }
+        let bad = text.replacen(
+            "\"full_sweep_every\"",
+            "\"em_threads\":\"many\",\"full_sweep_every\"",
+            1,
+        );
+        assert!(matches!(
+            ServiceSnapshot::from_json(&bad),
+            Err(SnapshotError::Schema(_))
+        ));
     }
 
     #[test]
@@ -2791,9 +2800,6 @@ mod tests {
         assert_eq!(parsed.version, 1);
         assert_eq!(parsed.config.gossip_every, None);
         assert_eq!(parsed.config.policy.dirty_coverage_fallback, 60);
-        // Pre-parallelism snapshots restore pinned to the sequential
-        // sweep, not the auto default.
-        assert_eq!(parsed.config.policy.parallelism, EmParallelism::Fixed(1));
         assert!(parsed.shards[0].gossip_events.is_empty());
         assert!(parsed.shards[0].checkpoint.is_none());
         assert!(parsed.exchange.is_empty());

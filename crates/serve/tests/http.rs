@@ -634,9 +634,12 @@ fn prometheus_exposition_is_well_formed() {
         "crowd_http_responses_408_total 0",
         "crowd_queue_wait_seconds_count",
         "crowd_apply_seconds_bucket",
-        "crowd_em_rebuild_seconds_count{sweep=\"full\",threads=\"1\"}",
-        "crowd_em_rebuild_seconds_count{sweep=\"dirty\",threads=\"1\"}",
-        "crowd_shard_em_threads{shard=\"0\"}",
+        "crowd_em_rebuild_seconds_count{sweep=\"full\"}",
+        "crowd_em_rebuild_seconds_count{sweep=\"dirty\"}",
+        "crowd_em_iterations_count{sweep=\"full\"}",
+        "crowd_em_iterations_bucket{sweep=\"dirty\",le=\"+Inf\"}",
+        "crowd_em_unconverged_total",
+        "crowd_em_last_delta",
         "crowd_gossip_round_seconds_count",
         "crowd_shard_queue_hwm{shard=\"0\"}",
         "crowd_enqueued_total",
@@ -651,9 +654,81 @@ fn prometheus_exposition_is_well_formed() {
             .map(|(_, v)| v.parse().unwrap())
             .unwrap_or_else(|| panic!("no sample for {family}"))
     };
-    assert!(count_of("crowd_em_rebuild_seconds_count{sweep=\"full\",threads=\"1\"}") >= 1.0);
+    assert!(count_of("crowd_em_rebuild_seconds_count{sweep=\"full\"}") >= 1.0);
+    assert!(count_of("crowd_em_iterations_sum{sweep=\"full\"}") >= 1.0);
+    assert!(!body.contains("threads="), "the thread-count label is gone");
     assert!(count_of("crowd_gossip_round_seconds_count") >= 1.0);
     assert!(count_of("crowd_queue_wait_seconds_count") >= issued as f64);
+
+    server.shutdown().unwrap().shutdown();
+}
+
+#[test]
+fn em_cap_hits_are_counted_in_a_live_scrape() {
+    // A zero tolerance is never reached, so every rebuild that runs an
+    // iteration stops at the cap and must show up as unconverged.
+    let mut config = eager_config();
+    config.gossip_every = None;
+    config.em.tolerance = 0.0;
+    config.em.max_iterations = 4;
+    let server = start_server(16, 4, config);
+    let mut client = Client::connect(&server);
+    let unconverged = |client: &mut Client| -> (f64, f64) {
+        let (status, body) = client.send_raw(
+            "GET /metrics?format=prometheus HTTP/1.1\r\nhost: test\r\ncontent-length: 0\r\n\r\n",
+        );
+        assert_eq!(status, 200);
+        let sample = |family: &str| -> f64 {
+            body.lines()
+                .find(|l| l.starts_with(family))
+                .and_then(|l| l.rsplit_once(' '))
+                .map(|(_, v)| v.parse().unwrap())
+                .unwrap_or_else(|| panic!("no sample for {family} in:\n{body}"))
+        };
+        (
+            sample("crowd_em_unconverged_total "),
+            sample("crowd_em_iterations_sum{sweep=\"full\"}"),
+        )
+    };
+    assert_eq!(unconverged(&mut client), (0.0, 0.0));
+
+    let (status, assigned) = client.send("POST", "/tasks/request", r#"{"workers": [0, 1]}"#);
+    assert_eq!(status, 200);
+    let mut labels = Vec::new();
+    for entry in assigned.get("assignments").and_then(Json::as_arr).unwrap() {
+        let w = as_usize(entry, "worker");
+        for t in entry.get("tasks").and_then(Json::as_arr).unwrap() {
+            labels.push(format!(
+                r#"{{"worker": {w}, "task": {}, "bits": "011"}}"#,
+                t.as_usize().unwrap()
+            ));
+        }
+    }
+    let issued = labels.len();
+    assert!(issued > 0);
+    let (status, _) = client.send("POST", "/labels", &format!("[{}]", labels.join(",")));
+    assert_eq!(status, 202);
+    await_answers(&mut client, issued);
+
+    let (capped, full_iterations) = unconverged(&mut client);
+    assert!(capped >= 1.0, "no cap hit counted");
+    assert!(full_iterations >= 4.0, "a full sweep runs to the cap");
+    let (status, json) = client.send("GET", "/metrics", "");
+    assert_eq!(status, 200);
+    let em = json.get("em").expect("em block");
+    assert_eq!(
+        em.get("unconverged").and_then(Json::as_f64),
+        Some(capped),
+        "JSON and Prometheus read the same counter"
+    );
+    assert!(em.get("last_delta").and_then(Json::as_f64).unwrap() > 0.0);
+    assert!(
+        em.get("iterations_full")
+            .and_then(|h| h.get("max"))
+            .and_then(Json::as_f64)
+            .unwrap()
+            >= 4.0
+    );
 
     server.shutdown().unwrap().shutdown();
 }

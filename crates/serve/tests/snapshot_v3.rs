@@ -541,3 +541,41 @@ fn corrupt_checkpoints_and_cursors_are_rejected() {
     ));
     service.shutdown();
 }
+
+#[test]
+fn documents_carrying_the_removed_em_threads_knob_restore_identically() {
+    // Writers no longer emit `em_threads`; v4 documents written while the
+    // E-step had a thread-count knob carry it as "auto" or an integer.
+    // Either form must restore to exactly the campaign the clean
+    // document restores to.
+    let (tasks, workers) = world();
+    let service = LabellingService::start(&tasks, &workers, gossip_config());
+    let pairs = stream();
+    ingest(&service, &pairs[..pairs.len() / 3]);
+    service.force_full_em();
+    ingest(&service, &pairs[pairs.len() / 3..pairs.len() / 2]);
+    let text = service.snapshot().to_json();
+    assert!(text.starts_with("{\"version\":4"), "expected a v4 document");
+    assert!(!text.contains("em_threads"));
+    let clean = LabellingService::restore(
+        &tasks,
+        &workers,
+        &ServiceSnapshot::from_json(&text).unwrap(),
+    )
+    .unwrap();
+    assert_eq!(clean.decisions(), service.decisions());
+    for legacy in ["\"auto\"", "2"] {
+        let with = text.replacen(
+            "\"full_sweep_every\"",
+            &format!("\"em_threads\":{legacy},\"full_sweep_every\""),
+            1,
+        );
+        assert_ne!(with, text);
+        let parsed = ServiceSnapshot::from_json(&with).unwrap();
+        let restored = LabellingService::restore(&tasks, &workers, &parsed).unwrap();
+        assert_services_bit_identical(&clean, &restored, legacy);
+        restored.shutdown();
+    }
+    clean.shutdown();
+    service.shutdown();
+}

@@ -1,8 +1,8 @@
 //! The simulated crowdsourcing platform loop.
 
 use crowd_core::{
-    Answer, AnswerLog, Assigner, Distances, EmConfig, Framework, FrameworkConfig, TaskId,
-    UpdatePolicy, WorkerId,
+    AccOptAssigner, Answer, AnswerLog, Assigner, Distances, EmConfig, Framework, FrameworkConfig,
+    TaskId, UpdatePolicy, WorkerId,
 };
 use rand::rngs::StdRng;
 use rand::{RngExt, SeedableRng};
@@ -169,6 +169,37 @@ impl SimPlatform {
             .expect("deployment1 never duplicates (worker, task) pairs");
         }
         log
+    }
+
+    /// Mean final accuracy of `runs` ACCOPT campaigns
+    /// ([`SimPlatform::run_campaign`]) that differ from `cfg` only in their
+    /// seed — `cfg.seed`, `cfg.seed + 1`, … — run on two threads.
+    ///
+    /// One campaign's final accuracy moves by about a point with its seed
+    /// and with any change to EM's arithmetic; the mean is the reference a
+    /// live service's accuracy is compared with.
+    #[must_use]
+    pub fn mean_campaign_accuracy(&self, cfg: &CampaignConfig, runs: u64) -> f64 {
+        let campaign = |k: u64| {
+            let cfg = CampaignConfig {
+                seed: cfg.seed.wrapping_add(k),
+                ..cfg.clone()
+            };
+            self.run_campaign(&mut AccOptAssigner::new(), &cfg)
+                .final_accuracy
+        };
+        let total: f64 = std::thread::scope(|s| {
+            let halves: Vec<_> = (0..2)
+                .map(|first| s.spawn(move || (first..runs).step_by(2).map(campaign).sum::<f64>()))
+                .collect();
+            halves
+                .into_iter()
+                .map(|h| h.join().expect("reference campaign panicked"))
+                .sum()
+        });
+        #[allow(clippy::cast_precision_loss)] // a handful of campaigns
+        let mean = total / runs as f64;
+        mean
     }
 
     /// **Deployment 2**: a budgeted online campaign. Each round,

@@ -30,6 +30,8 @@ use crowdpoi::prelude::*;
 use crowdpoi::sim::AnswerSimulator;
 
 const SEED: u64 = 2016;
+/// Single-threaded campaigns whose mean accuracy is the gate's reference.
+const REFERENCE_CAMPAIGNS: u64 = 6;
 const BUDGET: usize = 4000;
 const PRODUCERS: usize = 4;
 const SHARDS: usize = 4;
@@ -258,10 +260,12 @@ fn main() {
     // ── Reference: the equivalent single-threaded campaign ────────────────
     // Uniform arrivals (boost 1.0) to match the service driver, which polls
     // every worker slice at the same rate.
-    println!("\nRunning the single-threaded reference campaign (budget {BUDGET})…");
-    let mut assigner = AccOptAssigner::new();
-    let reference = platform.run_campaign(
-        &mut assigner,
+    // One campaign's accuracy moves by about a point with its seed, so the
+    // gate compares against the mean of several.
+    println!(
+        "\nRunning {REFERENCE_CAMPAIGNS} single-threaded reference campaigns (budget {BUDGET})…"
+    );
+    let reference = platform.mean_campaign_accuracy(
         &CampaignConfig {
             budget: BUDGET,
             h: 2,
@@ -270,14 +274,15 @@ fn main() {
             seed: SEED ^ 3,
             ..CampaignConfig::default()
         },
+        REFERENCE_CAMPAIGNS,
     );
     println!(
-        "  reference final accuracy: {:.1}%",
-        reference.final_accuracy * 100.0
+        "  reference final accuracy: {:.1}% (mean of {REFERENCE_CAMPAIGNS})",
+        reference * 100.0
     );
 
     if n_campaigns > 1 {
-        run_multi_campaigns(&platform, &distances, reference.final_accuracy, n_campaigns);
+        run_multi_campaigns(&platform, &distances, reference, n_campaigns);
         return;
     }
 
@@ -417,20 +422,20 @@ fn main() {
         service_accuracy * 100.0
     );
     println!(
-        "  reference final accuracy: {:.1}%",
-        reference.final_accuracy * 100.0
+        "  reference final accuracy: {:.1}% (mean of {REFERENCE_CAMPAIGNS})",
+        reference * 100.0
     );
 
     // Same budget on both sides (BUDGET = 4000): with worker-quality
     // gossip the sharded service closes the accuracy gap without the 2×
     // budget the pre-gossip service needed to compensate for per-shard
     // P(i_w) starvation.
-    let gap = (service_accuracy - reference.final_accuracy).abs();
+    let gap = (service_accuracy - reference).abs();
     assert!(
         gap <= 0.02,
         "sharded service accuracy ({service_accuracy:.4}) must stay within 0.02 \
          of the single-threaded reference ({:.4}) at the same budget {BUDGET}; gap {gap:.4}",
-        reference.final_accuracy
+        reference
     );
     println!("  within tolerance (|gap| = {gap:.4} <= 0.02) ✓");
     restored.shutdown();
